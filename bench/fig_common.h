@@ -64,7 +64,7 @@ proxysim::SimMetrics run_sim(const proxysim::SimConfig& cfg,
 /// Mean wait per hour of day (24 entries) for a slotted series.
 std::vector<double> hourly_means(const SlottedSeries& s);
 
-// --- Shared LP / allocator fixtures (micro_lp, micro_warmstart) -----------
+// --- Shared LP / allocator fixtures (micro_lp) ------------------------------
 
 /// Deterministic complete-graph sharing system: capacities uniform(5, 20)
 /// seeded by n, every pair sharing 0.8/n.

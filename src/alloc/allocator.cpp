@@ -80,7 +80,7 @@ lp::SolveResult Allocator::run_solver(const lp::Problem& p) const {
 
 lp::SolveResult Allocator::run_certified(const lp::Problem& p, lp::SolveWorkspace* ws,
                                          AllocationPlan& plan) const {
-  lp::PipelineResult pr = ws ? pipeline_.solve(p, ws) : pipeline_.solve(p);
+  lp::PipelineResult pr = pipeline_.solve(p, ws);
   plan.certified = pr.certified();
   plan.solver_fallbacks = pr.fallbacks;
   return std::move(pr.result);
@@ -92,8 +92,7 @@ AllocationPlan Allocator::allocate(std::size_t a, double amount) const {
 
   obs::ScopedTimer plan_timer(obs_plan_seconds_);
   const bool exact = opts_.equality == EqualityMode::Exact;
-  if (opts_.fast_path && !exact && opts_.formulation == Formulation::Compact &&
-      opts_.reuse_context && !opts_.solve.presolve) {
+  if (opts_.fast_path && !exact && opts_.formulation == Formulation::Compact) {
     AllocationPlan fast;
     if (try_fast_path(a, amount, fast)) {
       if constexpr (obs::kEnabled) obs_plans_satisfied_->inc();
@@ -186,7 +185,7 @@ AllocationPlan Allocator::solve_compact(std::size_t a, double amount, bool exact
   // In both branches below, variables are d_0..d_{n-1} then theta, so the
   // extraction after the solve is shared.
   lp::SolveResult r;
-  if (!exact && opts_.reuse_context && !opts_.solve.presolve) {
+  if (!exact) {
     // Amortized path: the model structure is built once per Allocator;
     // each request only patches the d_k bounds (U_kA) and the demand rhs.
     if (!cache_.built()) {
@@ -196,12 +195,15 @@ AllocationPlan Allocator::solve_compact(std::size_t a, double amount, bool exact
       obs_cache_hits_->inc();
     }
     cache_.patch(report_, a, amount);
-    const bool revised = opts_.solve.backend == lp::Backend::Revised;
-    if (opts_.certify) {
-      r = run_certified(cache_.problem(), revised ? &cache_.workspace() : nullptr, plan);
-    } else {
-      r = lp::solve(cache_.problem(), opts_.solve, revised ? &cache_.workspace() : nullptr);
-    }
+    // Every consult starts from the slack basis. A warm start could land on
+    // a different optimal vertex depending on which consults came before,
+    // and a plan must be a pure function of (snapshot, request): the plan
+    // cache, replicated shards and snapshot-restored GRM replicas rely on
+    // it. The workspace still supplies scratch and the rhs repatch.
+    lp::SolveWorkspace& ws = cache_.workspace();
+    ws.invalidate();
+    r = opts_.certify ? run_certified(cache_.problem(), &ws, plan)
+                      : lp::solve(cache_.problem(), opts_.solve, &ws);
   } else {
     lp::ModelBuilder mb(lp::Sense::Minimize);
     // Draw variables bounded by A's entitlement at each node (U_kA; the own

@@ -25,6 +25,11 @@
 // (5) whenever capacity is drawn over an agreement with share < 1 (see
 // DESIGN.md). EqualityMode::Relaxed (default) drops (3); Exact keeps it and
 // falls back to Relaxed when it renders the program infeasible.
+//
+// Every LP runs through lp::SolvePipeline: cold revised simplex, with the
+// dense tableau as its certified fallback. Each consult starts from the
+// slack basis, so a plan is a pure function of (system state, request) and
+// never of the consults that came before it.
 #pragma once
 
 #include <atomic>
@@ -65,28 +70,13 @@ struct AllocatorOptions {
   agree::TransitiveOptions transitive;  ///< level limit etc. (Figs 8-11)
   Formulation formulation = Formulation::Compact;
   EqualityMode equality = EqualityMode::Relaxed;
-  /// Every LP knob in one struct (see lp/solve.h): backend choice, presolve
-  /// switch, basis representation, iteration caps, tolerances. The defaults
-  /// here deliberately diverge from lp::SolveOptions' own to preserve the
-  /// allocator's historical behavior: tableau backend, and presolve off --
-  /// the allocator's hot paths patch a cached model whose structure presolve
-  /// would rebuild per request (and the warm-started workspace path skips
-  /// presolve regardless). Presolve pays off for the FullPaper formulation,
-  /// whose flow equalities it can collapse.
-  lp::SolveOptions solve = [] {
-    lp::SolveOptions o;
-    o.backend = lp::Backend::Tableau;
-    o.presolve = false;
-    return o;
-  }();
-  /// Reuse the compact model structure (and, for the Revised engine, the
-  /// previous optimal basis as a warm start) across allocate() calls. The
-  /// returned plans are identical either way; this only removes per-request
-  /// model rebuilding and solver allocations. The reuse state is per
-  /// Allocator and not synchronized: turn this off if one Allocator instance
-  /// must serve concurrent allocate() calls. Compact relaxed solves only
-  /// (exact mode and presolve always take the rebuild path).
-  bool reuse_context = true;
+  /// Every LP knob in one struct (see lp/solve.h), with lp's own defaults.
+  /// The compact relaxed model is patched in a cached workspace and never
+  /// presolved; the rebuild paths (exact mode, FullPaper) presolve like any
+  /// other lp::solve caller. `solve.backend` must stay Revised: the solve
+  /// pipeline rejects any other engine at construction, so certified and
+  /// uncertified consults run the same engine.
+  lp::SolveOptions solve;
   /// Verify every LP answer against the original problem (lp::Verifier) and
   /// escalate through the staged solve chain (lp::SolvePipeline) until one
   /// certifies. A consult whose chain is exhausted yields an explicit
@@ -102,8 +92,8 @@ struct AllocatorOptions {
   /// uncertified grant" invariant holds, but theta is the self-draw
   /// perturbation, not the LP minimum (the LP may spread the draw thinner).
   /// Off by default; turn on where throughput beats perturbation optimality
-  /// (see DESIGN.md section 13). Requires the Compact/Relaxed reuse_context
-  /// configuration; other configurations ignore the flag.
+  /// (see DESIGN.md section 13). Compact/Relaxed only; other configurations
+  /// ignore the flag.
   bool fast_path = false;
   /// Telemetry destination, propagated into the solve pipeline. Metric
   /// handles are resolved once at Allocator construction.
@@ -183,7 +173,8 @@ class Allocator : public AllocatorBase {
   obs::Counter* obs_fastpath_granted_ = nullptr;
   obs::Counter* obs_fastpath_fallthrough_ = nullptr;
   /// Lazily built compact-model structure + solver workspace; logically a
-  /// memo of (sys_, report_), hence mutable behind const allocate().
+  /// memo of (sys_, report_), hence mutable behind const allocate(). Not
+  /// synchronized: one Allocator serves one allocate() at a time.
   mutable AllocationModelCache cache_;
   /// Certified solve chain (statistics mutate behind const allocate()).
   mutable lp::SolvePipeline pipeline_;

@@ -8,9 +8,10 @@
 // place before each solve: no ModelBuilder, no vector reallocation, no
 // per-request Problem construction.
 //
-// The cache also owns the lp::SolveWorkspace threaded into
-// RevisedSimplexSolver::solve, so successive solves of the patched model
-// warm-start from the previous optimal basis.
+// The cache also owns the lp::SolveWorkspace threaded into the revised
+// solver, so successive solves of the patched model reuse its scratch and
+// repatch the standard-form rhs instead of rebuilding it. (The Allocator
+// invalidates the warm basis before each consult; see allocator.cpp.)
 //
 // The cached Problem is coefficient-identical to what the historical
 // per-request ModelBuilder path produced (variables in the same order: d_0..
@@ -18,7 +19,7 @@
 // engine run on it yields bit-identical results to the legacy path.
 //
 // Not thread-safe: a cache belongs to one Allocator and must not be used by
-// concurrent solves (see AllocatorOptions::reuse_context to opt out).
+// concurrent solves.
 #pragma once
 
 #include <cstddef>

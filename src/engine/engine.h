@@ -59,8 +59,8 @@ struct EngineOptions {
   /// decision-identical to the direct allocator path. Clamped to the
   /// participant count; in connectivity mode also to the component count.
   std::size_t threads = 1;
-  /// Per-shard allocator configuration. `certify` stays on by default;
-  /// `reuse_context` gives each shard its own warm-start workspace.
+  /// Per-shard allocator configuration. `certify` stays on by default; each
+  /// shard's allocator owns its own solver workspace.
   alloc::AllocatorOptions alloc;
   /// Epoch-keyed decision cache fronting the shard queues (plan_cache.h).
   /// A repeated (participant, amount) shape within one snapshot epoch is

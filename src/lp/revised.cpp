@@ -21,6 +21,10 @@ bool use_sparse(const SolverOptions& opts) { return opts.basis == BasisRep::Spar
 /// recompute the column instead of committing the pivot (see run_phase).
 constexpr double kEtaPivotStability = 1e-6;
 
+/// Under Bland's rule only tied ratio-test rows whose pivot is at least this
+/// share of the largest tied pivot may leave (see run_phase).
+constexpr double kBlandPivotShare = 0.5;
+
 /// x_B = B^-1 b with the denormal clamp refactorize() has always used,
 /// writing into reused storage. Sparse path: copy b and run it through the
 /// factored basis; dense path: vectorized dot per binv row.
@@ -463,18 +467,17 @@ PhaseOutcome run_phase(const StandardForm& sf, SolveWorkspace& W,
     // refactorization fails). With fresh factors the absolute tolerance
     // already screens drift (a true-zero entry resolves to ~eps * ||w||), so
     // the relative floor only applies while the eta file is non-empty -- and
-    // never under Bland's rule, whose termination proof requires that every
-    // truly-positive entry stay eligible to leave; there the verified (and
-    // if needed refined) tableau column is the drift screen instead.
+    // never under Bland's rule, where the verified (and if needed refined)
+    // tableau column is the drift screen instead and the pivot-share rule
+    // below keeps the chosen pivots large.
     const double pivot_floor =
         use_sparse(opts) && !bland && W.pivots_since_factor > 0
             ? std::max(opts.tol, kEtaPivotStability * wmax)
             : opts.tol;
     // Ratio-test tie-break: the sparse path prefers the largest pivot among
     // tied ratios (degenerate LPs tie dozens of rows at ratio 0, and a
-    // noise-sized pivot there poisons the product-form eta file); under
-    // Bland's rule the lowest basis index is kept -- its termination proof
-    // needs it. The dense path keeps the historical index tie-break.
+    // noise-sized pivot there poisons the product-form eta file). The dense
+    // path keeps the historical index tie-break.
     const bool prefer_magnitude = use_sparse(opts) && !bland;
     for (std::size_t r = 0; r < m; ++r) {
       if (W.w[r] <= pivot_floor) continue;
@@ -488,6 +491,29 @@ PhaseOutcome run_phase(const StandardForm& sf, SolveWorkspace& W,
         best_ratio = ratio;
         leave = r;
       }
+    }
+    // Under Bland's rule both paths then take the lowest basis index among
+    // the tied rows whose pivot is at least kBlandPivotShare of the largest.
+    // The pure lowest-index rule picks small pivots whenever they tie: a
+    // cold phase 1 on a large banded system stalls for thousands of ratio-0
+    // pivots, and chaining pivots like 0.004 next to 1s grows ||B^-1||
+    // geometrically until the basis no longer factors (most cold LPSCALE
+    // consults at n = 500 failed that way). Bland's termination proof
+    // assumes exact arithmetic anyway; the per-phase iteration cap and the
+    // pipeline's tableau stage remain the backstop.
+    if (bland && leave < m) {
+      double tied_max = 0.0;
+      for (std::size_t r = 0; r < m; ++r)
+        if (W.w[r] > pivot_floor && W.xb[r] / W.w[r] < best_ratio + opts.tol)
+          tied_max = std::max(tied_max, W.w[r]);
+      const double share_floor = kBlandPivotShare * tied_max;
+      std::size_t pick = m;
+      for (std::size_t r = 0; r < m; ++r) {
+        if (W.w[r] <= pivot_floor || W.w[r] < share_floor) continue;
+        if (W.xb[r] / W.w[r] >= best_ratio + opts.tol) continue;
+        if (pick == m || W.basis[r] < W.basis[pick]) pick = r;
+      }
+      leave = pick;  // the largest tied pivot always qualifies
     }
     if (leave == m) {
       // Unboundedness, like optimality, is only declared against fresh

@@ -13,15 +13,17 @@
 // against -- the ORIGINAL problem. Presolve is transparently skipped when it
 // cannot help or would break a stronger contract:
 //
-//   * workspace solves never presolve: warm-start fingerprints key on the
-//     original matrix and the steady-state hot loop must stay
-//     allocation-free (presolve rebuilds a Problem), so the trace-driven
-//     enforcement path is byte-for-byte the historical one;
+//   * workspace solves never presolve: warm-start fingerprints and the rhs
+//     repatch key on the original matrix, and the allocator's consult loop
+//     must stay allocation-free (presolve rebuilds a Problem);
 //   * a non-Optimal reduced outcome (infeasible/unbounded/decided-
 //     infeasible) falls back to solving the original problem directly, so
 //     Farkas/ray certificates always refer to the caller's problem;
-//   * the brute-force backend is an oracle for tiny problems and always
+//   * the brute-force backend is a test oracle for tiny problems and always
 //     solves the original directly.
+//
+// Production solves go through lp::SolvePipeline (solve_pipeline.h), which
+// runs the revised backend and keeps the tableau as its certified fallback.
 //
 // With `presolve = false` the call is bit-identical to invoking the chosen
 // concrete solver directly, which is exactly what the historical API did.
@@ -44,9 +46,11 @@ enum class Backend {
   /// Revised simplex over a factored basis (sparse LU by default); the only
   /// backend that accepts a SolveWorkspace for warm starts.
   Revised,
-  /// Dense two-phase tableau simplex: the simple, auditable reference.
+  /// Dense two-phase tableau simplex: the simple, auditable reference, and
+  /// the solve pipeline's independent fallback stage.
   Tableau,
-  /// Exhaustive basic-solution enumeration: exact oracle for tiny problems.
+  /// Exhaustive basic-solution enumeration: exact test oracle for tiny
+  /// problems.
   /// Cannot detect unboundedness; throws PreconditionError past
   /// `brute_force_max_bases`.
   BruteForce,

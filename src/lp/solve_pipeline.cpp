@@ -1,9 +1,8 @@
 #include "lp/solve_pipeline.h"
 
 #include <algorithm>
-#include <utility>
-
 #include <string>
+#include <utility>
 
 #include "obs/timer.h"
 #include "util/error.h"
@@ -44,6 +43,8 @@ void accumulate(PipelineStats& into, const PipelineStats& from) {
 
 SolvePipeline::SolvePipeline(PipelineOptions opts)
     : opts_(opts), verifier_(opts.solve.tols) {
+  AGORA_REQUIRE(opts_.solve.backend == Backend::Revised,
+                "the solve pipeline fixes each stage's engine; solve.backend must stay Revised");
   // Resolve all metric handles up front; solve() then only bumps atomics.
   for (int i = 0; i < kPipelineStages; ++i) {
     const std::string prefix =
@@ -59,13 +60,7 @@ SolvePipeline::SolvePipeline(PipelineOptions opts)
   obs_iterations_ = &opts_.sink.histogram("lp.pipeline.iterations");
 }
 
-PipelineResult SolvePipeline::solve(const Problem& p) { return attempt_chain(p, nullptr); }
-
 PipelineResult SolvePipeline::solve(const Problem& p, SolveWorkspace* ws) {
-  return attempt_chain(p, ws);
-}
-
-PipelineResult SolvePipeline::attempt_chain(const Problem& p, SolveWorkspace* ws) {
   ++stats_.solves;
   obs_solves_->inc();
   // Event time = solve ordinal: deterministic under identical inputs.
@@ -75,61 +70,24 @@ PipelineResult SolvePipeline::attempt_chain(const Problem& p, SolveWorkspace* ws
   obs::ScopedTimer solve_timer(obs_solve_seconds_);
   PipelineResult out;
 
-  PipelineStage chain[kPipelineStages];
-  std::size_t len = 0;
-  if (opts_.solve.backend == Backend::Revised) {
-    if (ws && ws->warm) chain[len++] = PipelineStage::WarmRevised;
-    chain[len++] = PipelineStage::ColdRevised;
-    chain[len++] = PipelineStage::Tableau;
-  } else {
-    chain[len++] = PipelineStage::Tableau;
-    chain[len++] = PipelineStage::ColdRevised;
-  }
-  chain[len++] = PipelineStage::BruteForce;
-
-  bool saw_unbounded_claim = false;
   std::uint64_t attempts_made = 0;
-
-  for (std::size_t s = 0; s < len; ++s) {
-    const PipelineStage stage = chain[s];
-    SolveResult r;
+  const int first = static_cast<int>(ws && ws->warm ? PipelineStage::WarmRevised
+                                                    : PipelineStage::ColdRevised);
+  for (int idx = first; idx < kPipelineStages; ++idx) {
+    const auto stage = static_cast<PipelineStage>(idx);
     const double stage_start = obs::kEnabled ? obs::now_seconds() : 0.0;
+    SolveOptions stage_opts = opts_.solve;
+    stage_opts.backend = stage == PipelineStage::Tableau ? Backend::Tableau : Backend::Revised;
     // Presolve only applies to the first attempt: a fallback is a
     // cross-check, and checking through the same reductions that may have
     // produced the bad answer would not be independent.
-    SolveOptions stage_opts = opts_.solve;
     stage_opts.presolve = opts_.solve.presolve && attempts_made == 0;
-    switch (stage) {
-      case PipelineStage::WarmRevised:
-      case PipelineStage::ColdRevised:
-        // Both pass the workspace: scratch is reused and a certified
-        // optimum re-establishes the warm state for the next solve. In the
-        // cold stage the warm flag is guaranteed off (either never set, or
-        // cleared below after a failed warm certification).
-        stage_opts.backend = Backend::Revised;
-        r = lp::solve(p, stage_opts, ws);
-        break;
-      case PipelineStage::Tableau:
-        stage_opts.backend = Backend::Tableau;
-        r = lp::solve(p, stage_opts, nullptr);
-        break;
-      case PipelineStage::BruteForce: {
-        // Enumeration cannot recognize unboundedness: if any earlier stage
-        // claimed it, a "best basic solution" would be a lie. Skip.
-        if (saw_unbounded_claim) continue;
-        stage_opts.backend = Backend::BruteForce;
-        try {
-          r = lp::solve(p, stage_opts, nullptr);
-        } catch (const PreconditionError&) {
-          continue;  // problem too large for the terminal stage
-        }
-        break;
-      }
-      case PipelineStage::Exhausted:
-        continue;
-    }
+    // The revised stages share the workspace: scratch is reused and a
+    // certified optimum re-establishes the warm state. In the cold stage the
+    // warm flag is off (never set, or cleared below after a failed warm
+    // certification). The tableau ignores the workspace.
+    SolveResult r = lp::solve(p, stage_opts, ws);
 
-    const int idx = static_cast<int>(stage);
     ++stats_.attempts[idx];
     ++attempts_made;
     accumulate(stats_.solver, r.stats);
@@ -137,7 +95,6 @@ PipelineResult SolvePipeline::attempt_chain(const Problem& p, SolveWorkspace* ws
       stage_obs_[idx].attempts->inc();
       stage_obs_[idx].seconds->observe(obs::now_seconds() - stage_start);
     }
-    if (r.status == Status::Unbounded) saw_unbounded_claim = true;
 
     Certificate cert = verifier_.certify(p, r);
     if (cert.certified) {
@@ -161,7 +118,7 @@ PipelineResult SolvePipeline::attempt_chain(const Problem& p, SolveWorkspace* ws
     stage_obs_[idx].failures->inc();
     opts_.sink.event(ordinal, obs::EventKind::LpSolveFallback, actor,
                      static_cast<std::uint32_t>(idx));
-    if ((stage == PipelineStage::WarmRevised || stage == PipelineStage::ColdRevised) && ws) {
+    if (stage != PipelineStage::Tableau && ws) {
       // The revised answer did not survive verification; do not let its
       // basis seed the next solve.
       ws->invalidate();
@@ -174,10 +131,9 @@ PipelineResult SolvePipeline::attempt_chain(const Problem& p, SolveWorkspace* ws
   obs_exhausted_->inc();
   opts_.sink.event(ordinal, obs::EventKind::LpSolveExhausted, actor, 0,
                    static_cast<double>(attempts_made));
-  stats_.max_fallback_depth =
-      std::max(stats_.max_fallback_depth, attempts_made > 0 ? attempts_made - 1 : 0);
+  stats_.max_fallback_depth = std::max(stats_.max_fallback_depth, attempts_made - 1);
   out.stage = PipelineStage::Exhausted;
-  out.fallbacks = attempts_made > 0 ? attempts_made - 1 : 0;
+  out.fallbacks = attempts_made - 1;
   return out;
 }
 

@@ -1,19 +1,21 @@
 // solve_pipeline.h -- staged, self-verifying LP solve chain.
 //
 // A single simplex implementation answering alone is a single point of
-// failure: the warm-started revised solver is the fastest path but also the
-// most exposed to accumulated drift, the tableau solver is slower but
-// independent, and brute-force enumeration is exact on tiny problems. The
-// pipeline escalates through them --
+// failure. The pipeline escalates through a fixed chain --
 //
-//     warm revised -> cold revised -> two-phase tableau -> brute force
+//     warm revised -> cold revised -> two-phase tableau
 //
-// (tableau first when the caller prefers that engine) -- and after EVERY
-// attempt asks lp::Verifier to certify the answer against the original
-// problem. The first certified answer wins; an uncertified answer is never
-// returned as trustworthy. When the whole chain is exhausted the caller gets
-// the last attempt plus its rejection reason, with certified() == false --
-// enforcement layers map that to an explicit conservative denial.
+// where the warm stage runs only when the caller passes a workspace that
+// holds a previous optimal basis (alloc::Allocator invalidates its
+// workspace before every consult, so only tests reach that stage) -- and
+// after EVERY attempt asks lp::Verifier to certify the answer against the
+// original problem. The tableau is the one independent engine in the
+// chain: it shares no basis machinery with the revised solver, so it can
+// rescue an answer the revised solver got wrong. The first certified
+// answer wins; an uncertified answer is never returned as trustworthy.
+// When the whole chain is exhausted the caller gets the last attempt plus
+// its rejection reason, with certified() == false -- enforcement layers
+// map that to an explicit conservative denial.
 //
 // Per-stage telemetry (attempts, certification failures, fallback depth,
 // accumulated solver health counters) is kept in PipelineStats so operators
@@ -35,32 +37,28 @@ enum class PipelineStage : int {
   WarmRevised = 0,
   ColdRevised = 1,
   Tableau = 2,
-  BruteForce = 3,
-  Exhausted = 4,
+  Exhausted = 3,
 };
-inline constexpr int kPipelineStages = 4;
+inline constexpr int kPipelineStages = 3;
 
 inline const char* to_string(PipelineStage s) {
   switch (s) {
     case PipelineStage::WarmRevised: return "warm-revised";
     case PipelineStage::ColdRevised: return "cold-revised";
     case PipelineStage::Tableau: return "tableau";
-    case PipelineStage::BruteForce: return "brute-force";
     case PipelineStage::Exhausted: return "exhausted";
   }
   return "unknown";
 }
 
 struct PipelineOptions {
-  /// Every solve knob (backend preference, presolve switch, basis
-  /// representation, tolerances, iteration caps) shared by the stages; the
-  /// Verifier uses `solve.tols` too. `solve.backend` picks the stage order:
-  /// Backend::Revised puts the revised solver first (warm, then cold, then
-  /// tableau); anything else starts at the tableau solver and uses
-  /// cold-revised as the cross-check. Either way every stage's answer must
-  /// certify, and presolve only runs on the first attempt -- fallback
-  /// stages solve the original problem directly so the cross-check is
-  /// independent of the reductions too.
+  /// Solve knobs (presolve switch, basis representation, tolerances,
+  /// iteration caps) shared by the stages; the Verifier uses `solve.tols`
+  /// too. Each stage fixes its own engine, so `solve.backend` must stay
+  /// Backend::Revised (the default); the constructor rejects anything else.
+  /// Presolve only runs on the first attempt -- fallback stages solve the
+  /// original problem directly so the cross-check is independent of the
+  /// reductions too.
   SolveOptions solve;
   /// Telemetry destination. Metric handles are resolved once at pipeline
   /// construction; the solve path itself never touches the registry map.
@@ -105,22 +103,18 @@ class SolvePipeline {
  public:
   explicit SolvePipeline(PipelineOptions opts = {});
 
-  /// Cold solve (no workspace: the warm stage is skipped).
-  PipelineResult solve(const Problem& p);
-
-  /// Warm-capable solve. `ws` follows the RevisedSimplexSolver workspace
-  /// contract; when a warm answer fails certification the workspace is
-  /// invalidated before the cold retry, so a poisoned basis cannot survive
+  /// Run the chain. `ws` (optional) follows the RevisedSimplexSolver
+  /// workspace contract; the warm stage runs only when it holds a warm
+  /// basis. When a revised answer fails certification the workspace is
+  /// invalidated before the next stage, so a poisoned basis cannot survive
   /// into later solves.
-  PipelineResult solve(const Problem& p, SolveWorkspace* ws);
+  PipelineResult solve(const Problem& p, SolveWorkspace* ws = nullptr);
 
   const PipelineStats& stats() const { return stats_; }
   void reset_stats() { stats_ = {}; }
   const PipelineOptions& options() const { return opts_; }
 
  private:
-  PipelineResult attempt_chain(const Problem& p, SolveWorkspace* ws);
-
   /// Registry handles cached at construction so the solve path is
   /// allocation-free (see obs/metrics.h: references are stable for the
   /// registry's lifetime).

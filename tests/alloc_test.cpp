@@ -11,6 +11,7 @@
 #include "alloc/endpoint.h"
 #include "alloc/hierarchical.h"
 #include "alloc/multi_resource.h"
+#include "util/error.h"
 #include "util/rng.h"
 
 namespace agora::alloc {
@@ -178,12 +179,45 @@ TEST(Allocator, ExactModeFallsBackWithPartialShares) {
   EXPECT_TRUE(plan.exact_mode_fell_back);
 }
 
+TEST(Allocator, RejectsABackendPreference) {
+  // The certified chain fixes its engines; a backend preference would only
+  // take effect with certify off, so both allocators refuse it outright.
+  AgreementSystem sys(2);
+  sys.capacity = {0.0, 10.0};
+  AllocatorOptions opts;
+  opts.solve.backend = lp::Backend::Tableau;
+  EXPECT_THROW(Allocator(sys, opts), PreconditionError);
+  EXPECT_THROW(HierarchicalAllocator(sys, {0, 1}, opts), PreconditionError);
+}
+
+TEST(Allocator, ColdConsultOnALargeBandedRingCertifiesFirstTime) {
+  // A 500-site ring with shares to the three nearest neighbors, closed over
+  // two transitive hops. The cold phase 1 of this consult stalls for
+  // thousands of degenerate pivots; under the plain lowest-index Bland rule
+  // those pivots drove the basis singular and the consult failed.
+  constexpr std::size_t n = 500;
+  AgreementSystem sys(n);
+  Pcg32 rng(n * 13 + 5);
+  for (double& c : sys.capacity) c = rng.uniform(5.0, 20.0);
+  sys.relative = agree::distance_decay(n, {0.25, 0.12, 0.06, 0.0});
+  AllocatorOptions opts;
+  opts.transitive.max_level = 2;
+  opts.transitive.prune_below = 1e-8;
+  Allocator alloc(sys, opts);
+  const std::size_t a = 68;
+  const AllocationPlan plan = alloc.allocate(a, alloc.available_to(a) * 0.525);
+  ASSERT_TRUE(plan.satisfied());
+  EXPECT_TRUE(plan.certified);
+  EXPECT_EQ(plan.solver_fallbacks, 0u);
+}
+
 TEST(Allocator, PresolveProducesSameAnswer) {
   AgreementSystem sys(3);
   sys.capacity = {0.0, 10.0, 10.0};
   sys.relative(1, 0) = 0.5;
   sys.relative(2, 0) = 0.5;
   AllocatorOptions plain, pre;
+  plain.solve.presolve = false;
   pre.solve.presolve = true;
   pre.formulation = Formulation::FullPaper;  // the formulation presolve helps
   plain.formulation = Formulation::FullPaper;

@@ -61,17 +61,25 @@ void corrupt_inverse(SolveWorkspace& ws, double factor) {
 
 TEST(Adversarial, BealeCyclingExampleCertifiesOnBothEngines) {
   const Problem p = beale();
+  // Each engine alone, without presolve, so the anti-cycling of the engine
+  // itself is what gets certified.
   for (const Backend backend : {Backend::Revised, Backend::Tableau}) {
-    PipelineOptions po;
-    po.solve.backend = backend;
-    SolvePipeline pl(po);
-    const PipelineResult pr = pl.solve(p);
-    ASSERT_TRUE(pr.certified())
+    SolveOptions o;
+    o.backend = backend;
+    o.presolve = false;
+    const SolveResult r = solve(p, o);
+    const Certificate cert = Verifier(o.tols).certify(p, r);
+    ASSERT_TRUE(cert.certified)
         << "backend " << to_string(backend) << ": "
-        << (pr.certificate.reject ? pr.certificate.reject : "uncertified");
-    EXPECT_EQ(pr.certificate.claim, Certificate::Claim::Optimal);
-    EXPECT_NEAR(pr.result.objective, -0.05, 1e-6);
+        << (cert.reject ? cert.reject : "uncertified");
+    EXPECT_EQ(cert.claim, Certificate::Claim::Optimal);
+    EXPECT_NEAR(r.objective, -0.05, 1e-6);
   }
+  // And the production chain.
+  SolvePipeline pl;
+  const PipelineResult pr = pl.solve(p);
+  ASSERT_TRUE(pr.certified());
+  EXPECT_NEAR(pr.result.objective, -0.05, 1e-6);
 }
 
 TEST(Adversarial, DegenerateTiesCertify) {

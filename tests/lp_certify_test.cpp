@@ -15,6 +15,7 @@
 #include "lp/solve.h"
 #include "lp/solve_pipeline.h"
 #include "lp/standard_form.h"
+#include "util/error.h"
 
 namespace agora::lp {
 namespace {
@@ -68,6 +69,25 @@ Problem unbounded_ramp() {
   p.add_variable("x", 0.0, kInfinity, -1.0);
   p.add_variable("y", 0.0, kInfinity, 0.0);
   p.add_constraint({1.0, -1.0}, Relation::LessEqual, 1.0);
+  return p;
+}
+
+// The exact-mode allocation program of alloc_property_test's RandomSystems
+// seed9000_n2_d3 case: requester 1 asks for half its availability, and the
+// paper's constraint (3) pins its capacity drop to the request. Draws d0, d1
+// are bounded by the requester's entitlements, theta bounds both drops.
+Problem exact_mode_two_site() {
+  const double amount = 3.665162467958667;
+  const double k01 = 0.18453822880983353;
+  const double k10 = 0.0025011812802404163;
+  Problem p(Sense::Minimize);
+  p.add_variable("d0", 0.0, 1.5599625170739007, 0.0);
+  p.add_variable("d1", 0.0, 5.7703624188434333, 0.0);
+  p.add_variable("theta", 0.0, kInfinity, 1.0);
+  p.add_constraint({1.0, 1.0, 0.0}, Relation::Equal, amount);
+  p.add_constraint({1.0, k10, -1.0}, Relation::LessEqual, 0.0);
+  p.add_constraint({k01, 1.0, -1.0}, Relation::LessEqual, 0.0);
+  p.add_constraint({k01, 1.0, 0.0}, Relation::Equal, amount);
   return p;
 }
 
@@ -320,13 +340,39 @@ TEST(Pipeline, HappyPathCertifiesOnFirstStage) {
   EXPECT_EQ(pl.stats().certified, 1u);
 }
 
-TEST(Pipeline, TableauFirstWhenPreferred) {
-  PipelineOptions po;
-  po.solve.backend = Backend::Tableau;
-  SolvePipeline pl(po);
-  const PipelineResult pr = pl.solve(classic_max());
-  EXPECT_TRUE(pr.certified());
+TEST(Pipeline, TableauRescuesAnUncertifiedRevisedAnswer) {
+  // The chain without a warm workspace is presolved revised, then tableau.
+  // On this program the revised answer fails certification and the
+  // tableau's holds. This pins a known revised-solver defect: with or
+  // without presolve, on either basis representation, the revised engine
+  // returns a point that violates the equality row k01 d0 + d1 = amount and
+  // calls it optimal. Once that defect is fixed, this test should force the
+  // fallback with an injected corruption instead.
+  SolvePipeline pl;
+  const PipelineResult pr = pl.solve(exact_mode_two_site());
+  ASSERT_TRUE(pr.certified()) << (pr.certificate.reject ? pr.certificate.reject : "");
   EXPECT_EQ(pr.stage, PipelineStage::Tableau);
+  EXPECT_EQ(pr.fallbacks, 1u);
+  const auto stage = [](PipelineStage s) { return static_cast<int>(s); };
+  const PipelineStats& st = pl.stats();
+  EXPECT_EQ(st.attempts[stage(PipelineStage::WarmRevised)], 0u);
+  EXPECT_EQ(st.attempts[stage(PipelineStage::ColdRevised)], 1u);
+  EXPECT_EQ(st.failures[stage(PipelineStage::ColdRevised)], 1u);
+  EXPECT_EQ(st.attempts[stage(PipelineStage::Tableau)], 1u);
+  EXPECT_EQ(st.failures[stage(PipelineStage::Tableau)], 0u);
+  EXPECT_EQ(st.certified, 1u);
+  EXPECT_EQ(st.exhausted, 0u);
+  EXPECT_EQ(st.max_fallback_depth, 1u);
+}
+
+TEST(Pipeline, RejectsAnyBackendButRevised) {
+  // Each stage picks its own engine; a backend preference would be ignored,
+  // so the pipeline refuses one instead of silently dropping it.
+  for (const Backend b : {Backend::Tableau, Backend::BruteForce}) {
+    PipelineOptions po;
+    po.solve.backend = b;
+    EXPECT_THROW(SolvePipeline{po}, PreconditionError) << to_string(b);
+  }
 }
 
 TEST(Pipeline, CertifiesInfeasibleAndUnboundedClaims) {

@@ -1,18 +1,20 @@
 // lp_warmstart_test.cpp -- property tests for the warm-started, workspace-
-// reusing revised simplex path (and the allocator model cache built on it).
+// reusing revised simplex path, and for the allocator's cached compact model
+// that shares its workspace.
 //
-// Invariant under test: passing a SolveWorkspace to the revised backend --
-// and, one layer up, AllocatorOptions::reuse_context -- must never change
-// WHAT is computed, only how fast. Over fuzzed sequences of bound/rhs
-// perturbations of a fixed-structure LP, the warm-started solve must agree
-// with the cold revised solve, the tableau solve, and (on tiny instances)
-// brute-force vertex enumeration: same status, same objective, same duals
-// within 1e-7.
+// Invariant under test: passing a SolveWorkspace to the revised backend must
+// never change WHAT is computed, only how fast. Over fuzzed sequences of
+// bound/rhs perturbations of a fixed-structure LP, the warm-started solve
+// must agree with the cold revised solve, the tableau solve, and (on tiny
+// instances) brute-force vertex enumeration: same status, same objective,
+// same duals within 1e-7. One layer up, the allocator's patched-model
+// consults must agree with an lp::solve of the same LP built from scratch.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "agree/topology.h"
@@ -189,17 +191,51 @@ TEST(LpWarmstart, InfeasibleAndUnboundedPerturbationsAreDetected) {
 namespace agora::alloc {
 namespace {
 
-AllocatorOptions engine_opts(lp::Backend backend, bool reuse) {
-  AllocatorOptions opts;
-  opts.solve.backend = backend;
-  opts.reuse_context = reuse;
-  return opts;
+/// The compact allocation LP for (a, amount) built from scratch out of the
+/// allocator's own availability report: d_k in [0, U_ka], sum d = amount,
+/// sum_k d_k * That_ki <= theta for every i, minimize theta.
+lp::Problem compact_lp(const Allocator& al, std::size_t a, double amount) {
+  const std::size_t n = al.size();
+  const agree::CapacityReport& rep = al.capacities();
+  lp::ModelBuilder mb(lp::Sense::Minimize);
+  std::vector<lp::Var> d(n);
+  for (std::size_t k = 0; k < n; ++k) d[k] = mb.add_var(0.0, rep.entitlement(k, a));
+  const lp::Var theta = mb.add_var(0.0);
+  mb.add(lp::sum(d) == amount);
+  for (std::size_t i = 0; i < n; ++i) {
+    lp::LinExpr drop;
+    for (std::size_t k = 0; k < n; ++k) {
+      const double c = k == i ? al.system().retained[i] : rep.shares(k, i);
+      if (c > 0.0) drop += c * d[k];
+    }
+    mb.add(drop - 1.0 * theta <= 0.0);
+  }
+  mb.minimize(lp::LinExpr(theta));
+  return std::move(mb.problem());
 }
 
-/// Lockstep fuzz at the allocator level: three allocators over the same
-/// system -- Tableau, Revised cold (reuse off), Revised warm (reuse on) --
-/// driven through random allocate/apply/release/set_capacities sequences
-/// must produce the same plan statuses and thetas.
+/// Check one consult against two independent oracles on the rebuilt LP:
+/// the presolved revised solve and the direct tableau solve.
+void expect_matches_oracles(const Allocator& al, std::size_t a, double amount,
+                            const AllocationPlan& plan, const std::string& tag) {
+  const lp::Problem p = compact_lp(al, a, amount);
+  lp::SolveOptions tableau;
+  tableau.backend = lp::Backend::Tableau;
+  tableau.presolve = false;
+  for (const lp::SolveOptions& o : {lp::SolveOptions{}, tableau}) {
+    const lp::SolveResult r = lp::solve(p, o);
+    ASSERT_EQ(r.status == lp::Status::Optimal, plan.satisfied())
+        << tag << " backend " << lp::to_string(o.backend);
+    if (plan.satisfied()) {
+      EXPECT_TRUE(plan.certified) << tag;
+      EXPECT_NEAR(r.objective, plan.theta, 1e-7) << tag << " " << lp::to_string(o.backend);
+    }
+  }
+}
+
+/// Lockstep fuzz at the allocator level: an allocator driven through random
+/// allocate/apply/release/set_capacities sequences must decide every consult
+/// the way the oracles decide the same LP built from scratch.
 TEST(AllocatorWarmstart, LockstepEnginesAgreeOverRequestReleaseSequences) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     Pcg32 rng(seed * 12345);
@@ -207,10 +243,7 @@ TEST(AllocatorWarmstart, LockstepEnginesAgreeOverRequestReleaseSequences) {
     agree::AgreementSystem sys(n);
     sys.relative = agree::complete_graph(n, 0.6 / static_cast<double>(n));
     for (std::size_t i = 0; i < n; ++i) sys.capacity[i] = rng.uniform(5.0, 15.0);
-
-    Allocator tableau(sys, engine_opts(lp::Backend::Tableau, true));
-    Allocator cold(sys, engine_opts(lp::Backend::Revised, false));
-    Allocator warm(sys, engine_opts(lp::Backend::Revised, true));
+    Allocator al(sys);
 
     for (int step = 0; step < 60; ++step) {
       const std::size_t a = rng.uniform_u32(static_cast<std::uint32_t>(n));
@@ -218,62 +251,40 @@ TEST(AllocatorWarmstart, LockstepEnginesAgreeOverRequestReleaseSequences) {
       if (action == 0) {
         std::vector<double> caps(n);
         for (double& c : caps) c = rng.uniform(2.0, 15.0);
-        tableau.set_capacities(caps);
-        cold.set_capacities(caps);
-        warm.set_capacities(caps);
+        al.set_capacities(caps);
         continue;
       }
       if (action == 1) {
         std::vector<double> back(n, 0.0);
         for (double& b : back) b = rng.uniform(0.0, 0.5);
-        tableau.release(back);
-        cold.release(back);
-        warm.release(back);
+        al.release(back);
         continue;
       }
       const double amount =
-          std::min(warm.available_to(a) * rng.uniform(0.0, 0.9), rng.uniform(0.0, 8.0));
-      const AllocationPlan pt = tableau.allocate(a, amount);
-      const AllocationPlan pc = cold.allocate(a, amount);
-      const AllocationPlan pw = warm.allocate(a, amount);
-      ASSERT_EQ(pt.status, pw.status) << "seed " << seed << " step " << step;
-      ASSERT_EQ(pc.status, pw.status) << "seed " << seed << " step " << step;
-      if (!pw.satisfied()) continue;
-      EXPECT_NEAR(pt.theta, pw.theta, 1e-7) << "seed " << seed << " step " << step;
-      EXPECT_NEAR(pc.theta, pw.theta, 1e-7) << "seed " << seed << " step " << step;
-      if (action == 3) {  // sometimes commit, sometimes just consult
-        tableau.apply(pt);
-        // Apply the SAME plan everywhere so capacities stay in lockstep even
-        // when alternative optima differ in their draw vectors.
-        cold.apply(pt);
-        warm.apply(pt);
-      }
+          std::min(al.available_to(a) * rng.uniform(0.0, 0.9), rng.uniform(0.0, 8.0));
+      const AllocationPlan plan = al.allocate(a, amount);
+      expect_matches_oracles(al, a, amount, plan,
+                             "seed " + std::to_string(seed) + " step " + std::to_string(step));
+      if (action == 3 && plan.satisfied()) al.apply(plan);  // sometimes commit
     }
   }
 }
 
-/// reuse_context must not change results when capacities never move either
-/// (repeated identical requests -- the pure warm-start steady state).
+/// Repeated identical requests against an unchanged system: every answer is
+/// the oracle's, and every repeat is bit-identical to the first.
 TEST(AllocatorWarmstart, RepeatedIdenticalRequestsStaySatisfiedAndStable) {
   agree::AgreementSystem sys(6);
   sys.relative = agree::distance_decay(6, {0.25, 0.10});
   for (std::size_t i = 0; i < 6; ++i) sys.capacity[i] = 10.0;
-  Allocator warm(sys, engine_opts(lp::Backend::Revised, true));
-  const AllocationPlan first = warm.allocate(2, 4.0);  // cold: builds the cache
+  Allocator al(sys);
+  const AllocationPlan first = al.allocate(2, 4.0);
   ASSERT_TRUE(first.satisfied());
-  const AllocationPlan steady = warm.allocate(2, 4.0);  // first warm solve
-  ASSERT_TRUE(steady.satisfied());
-  // Cold and warm may differ by ULPs (x_B is recomputed as B^-1 b at warm
-  // entry instead of carried through incremental pivots)...
-  EXPECT_NEAR(steady.theta, first.theta, 1e-9);
-  for (std::size_t k = 0; k < first.draw.size(); ++k)
-    EXPECT_NEAR(steady.draw[k], first.draw[k], 1e-9);
-  // ...but warm steady state must be exactly reproducible.
+  expect_matches_oracles(al, 2, 4.0, first, "first");
   for (int i = 0; i < 20; ++i) {
-    const AllocationPlan p = warm.allocate(2, 4.0);
+    const AllocationPlan p = al.allocate(2, 4.0);
     ASSERT_TRUE(p.satisfied());
-    EXPECT_EQ(p.theta, steady.theta);
-    EXPECT_EQ(p.draw, steady.draw);
+    EXPECT_EQ(p.theta, first.theta);
+    EXPECT_EQ(p.draw, first.draw);
   }
 }
 

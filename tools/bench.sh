@@ -1,21 +1,21 @@
 #!/usr/bin/env bash
-# LP solver benchmark harness: builds micro_lp, micro_warmstart and
-# micro_certify in Release, runs them, and merges the results into
-# BENCH_lp.json at the repo root (iterations, ns/solve, allocs/solve, the
-# sparse-vs-dense LPSCALE sweep from micro_lp, the warm-vs-cold iteration
-# ratio from micro_warmstart's verification pass, and the certification
-# overhead from micro_certify's A/B pass).
+# LP solver benchmark harness: builds micro_lp and micro_certify in Release,
+# runs them, and merges the results into BENCH_lp.json at the repo root
+# (iterations, ns/solve, allocs/solve, the sparse-vs-dense LPSCALE sweep
+# from micro_lp, and the certification overhead from micro_certify's A/B
+# pass), stamped with the build type configured here.
 # Usage: tools/bench.sh   (from the repository root)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 BUILD=build-release
+BUILD_TYPE=Release
 OUT=bench_results
 mkdir -p "${OUT}"
 
-cmake -B "${BUILD}" -S . -DCMAKE_BUILD_TYPE=Release
-cmake --build "${BUILD}" -j --target micro_lp micro_warmstart micro_certify scale_shards \
+cmake -B "${BUILD}" -S . -DCMAKE_BUILD_TYPE="${BUILD_TYPE}"
+cmake --build "${BUILD}" -j --target micro_lp micro_certify scale_shards \
   scale_hotpath chaos_failover wire_loopback
 
 # micro_lp runs the LPSCALE scaling sweep (n in {100, 500, 1000}, sparse-LU
@@ -25,21 +25,15 @@ cmake --build "${BUILD}" -j --target micro_lp micro_warmstart micro_certify scal
 "./${BUILD}/bench/micro_lp" \
   --benchmark_out="${OUT}/micro_lp.json" --benchmark_out_format=json \
   | tee "${OUT}/lpscale_summary.txt"
-# micro_warmstart prints its WARMSTART verification line (cold/warm pivot
-# counts, theta agreement) before the benchmark table; keep it for the merge.
-"./${BUILD}/bench/micro_warmstart" \
-  --benchmark_out="${OUT}/micro_warmstart.json" --benchmark_out_format=json \
-  | tee "${OUT}/warmstart_summary.txt"
 # micro_certify prints its CERTIFY line (A/B overhead of solution
-# certification on the warm consult sequence, zero-uncertified-grants
-# invariant) the same way.
+# certification on the consult sequence, zero-uncertified-grants invariant)
+# before its benchmark table; keep it for the merge.
 "./${BUILD}/bench/micro_certify" \
   --benchmark_out="${OUT}/micro_certify.json" --benchmark_out_format=json \
   | tee "${OUT}/certify_summary.txt"
 
-python3 tools/bench_lp_json.py \
+python3 tools/bench_lp_json.py "${BUILD_TYPE}" \
   "${OUT}/micro_lp.json" "${OUT}/lpscale_summary.txt" \
-  "${OUT}/micro_warmstart.json" "${OUT}/warmstart_summary.txt" \
   "${OUT}/micro_certify.json" "${OUT}/certify_summary.txt" BENCH_lp.json
 
 echo "bench: BENCH_lp.json written"

@@ -1,22 +1,20 @@
 #!/usr/bin/env python3
-"""Merge google-benchmark JSON output from micro_lp, micro_warmstart and
-micro_certify into the compact BENCH_lp.json the repo tracks (see
-tools/bench.sh).
+"""Merge google-benchmark JSON output from micro_lp and micro_certify into
+the compact BENCH_lp.json the repo tracks (see tools/bench.sh).
 
-Usage: bench_lp_json.py <micro_lp.json> <lpscale_summary.txt> \
-                        <micro_warmstart.json> <warmstart_summary.txt> \
+Usage: bench_lp_json.py <build_type> <micro_lp.json> <lpscale_summary.txt> \
                         <micro_certify.json> <certify_summary.txt> <out.json>
 
-Only the Python standard library is used. For every benchmark we keep the
-iteration count, ns/solve (real time) and -- where the benchmark reports it
--- allocations and LP pivots per solve. micro_lp's LPSCALE sweep lines
-(one per n x backend configuration, plus the closing speedup_n100 line) are
-parsed into a "scaling" block, the micro_warmstart verification line
-(WARMSTART theta_max_diff=... cold_iters=... warm_iters=...
-iter_ratio=...) into a "warmstart" block, and the micro_certify line
-(CERTIFY overhead_pct=... certified_solves=... fallbacks=...
-uncertified_grants=...) into a "certify" block, so all acceptance metrics
-are recorded alongside the timings.
+Only the Python standard library is used. <build_type> is the CMake build
+type the benchmarks were compiled with (Google Benchmark's own context only
+knows its library's build type). For every benchmark we keep the iteration
+count, ns/solve (real time) and -- where the benchmark reports it --
+allocations and LP pivots per solve. micro_lp's LPSCALE sweep lines (one
+per n x backend x start configuration, plus the closing speedup_n100 line) are
+parsed into a "scaling" block, and the micro_certify line (CERTIFY
+overhead_pct=... certified_solves=... fallbacks=... uncertified_grants=...)
+into a "certify" block, so all acceptance metrics are recorded alongside
+the timings.
 """
 
 import json
@@ -48,46 +46,30 @@ def parse_lpscale(path):
         text = f.read()
     points = []
     for m in re.finditer(
-        r"LPSCALE n=(\d+) backend=(\S+) certified=(\d) consults_per_s=(\S+)"
-        r" iterations=(\d+) basis_nnz=(\d+) lu_nnz=(\d+) fill_ratio=(\S+)"
-        r" refactorizations=(\d+) max_eta=(\d+)",
+        r"LPSCALE n=(\d+) backend=(\S+) start=(\S+) certified=(\d)"
+        r" consults_per_s=(\S+) iterations=(\d+) basis_nnz=(\d+) lu_nnz=(\d+)"
+        r" fill_ratio=(\S+) refactorizations=(\d+) max_eta=(\d+)",
         text,
     ):
         points.append(
             {
                 "n": int(m.group(1)),
                 "backend": m.group(2),
-                "certified": bool(int(m.group(3))),
-                "consults_per_s": float(m.group(4)),
-                "iterations": int(m.group(5)),
-                "basis_nnz": int(m.group(6)),
-                "lu_nnz": int(m.group(7)),
-                "fill_ratio": float(m.group(8)),
-                "refactorizations": int(m.group(9)),
-                "max_eta": int(m.group(10)),
+                "start": m.group(3),
+                "certified": bool(int(m.group(4))),
+                "consults_per_s": float(m.group(5)),
+                "iterations": int(m.group(6)),
+                "basis_nnz": int(m.group(7)),
+                "lu_nnz": int(m.group(8)),
+                "fill_ratio": float(m.group(9)),
+                "refactorizations": int(m.group(10)),
+                "max_eta": int(m.group(11)),
             }
         )
     speed = re.search(r"LPSCALE speedup_n100=(\S+)", text)
     if not points or not speed:
         raise SystemExit(f"no LPSCALE sweep lines found in {path}")
     return {"points": points, "speedup_n100": float(speed.group(1))}
-
-
-def parse_warmstart(path):
-    with open(path) as f:
-        text = f.read()
-    m = re.search(
-        r"WARMSTART theta_max_diff=(\S+) cold_iters=(\d+) warm_iters=(\d+) iter_ratio=(\S+)",
-        text,
-    )
-    if not m:
-        raise SystemExit(f"no WARMSTART summary line found in {path}")
-    return {
-        "theta_max_diff": float(m.group(1)),
-        "cold_iters": int(m.group(2)),
-        "warm_iters": int(m.group(3)),
-        "iter_ratio": float(m.group(4)),
-    }
 
 
 def parse_certify(path):
@@ -109,24 +91,22 @@ def parse_certify(path):
 
 
 def main(argv):
-    if len(argv) != 8:
+    if len(argv) != 7:
         raise SystemExit(__doc__)
-    lp_benches, context = load_benchmarks(argv[1])
-    warm_benches, _ = load_benchmarks(argv[3])
-    certify_benches, _ = load_benchmarks(argv[5])
+    lp_benches, context = load_benchmarks(argv[2])
+    certify_benches, _ = load_benchmarks(argv[4])
     doc = {
-        "schema": "agora-bench-lp/3",
-        "build_type": context.get("library_build_type", "unknown"),
+        "schema": "agora-bench-lp/5",
+        "build_type": argv[1],
         "num_cpus": context.get("num_cpus", 0),
-        "benchmarks": lp_benches + warm_benches + certify_benches,
-        "scaling": parse_lpscale(argv[2]),
-        "warmstart": parse_warmstart(argv[4]),
-        "certify": parse_certify(argv[6]),
+        "benchmarks": lp_benches + certify_benches,
+        "scaling": parse_lpscale(argv[3]),
+        "certify": parse_certify(argv[5]),
     }
-    with open(argv[7], "w") as f:
+    with open(argv[6], "w") as f:
         json.dump(doc, f, indent=2)
         f.write("\n")
-    print(f"wrote {argv[7]}")
+    print(f"wrote {argv[6]}")
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ cmake --build build -j
 cmake -B build-asan -S . -DAGORA_SANITIZE=ON
 cmake --build build-asan -j --target rms_test rms_chaos_test rms_replica_test \
   rms_failover_test fuzz_test lp_certify_test lp_adversarial_test lp_sparse_test \
-  engine_cache_test \
+  engine_cache_test history_independence_test \
   engine_federation_test credit_conservation_test federation_chaos_test \
   net_frame_test net_service_test net_soak_test
 ./build-asan/tests/rms_test
@@ -39,6 +39,10 @@ cmake --build build-asan -j --target rms_test rms_chaos_test rms_replica_test \
 ./build-asan/tests/lp_adversarial_test
 ./build-asan/tests/lp_sparse_test
 ./build-asan/tests/engine_cache_test
+# Plans are a pure function of (snapshot, request): allocators with
+# different consult/commit/release histories, and a snapshot-restored GRM
+# replica, must decide bit-identically.
+./build-asan/tests/history_independence_test
 # Federation suites under ASan/UBSan: the credit ledger's settle/consume
 # arithmetic, the border-bank allocator rebuilds, and the chaos harness's
 # envelope lifetimes are the new lifetime-sensitive surface.
@@ -67,7 +71,7 @@ cmake --build build-asan -j --target rms_test rms_chaos_test rms_replica_test \
 cmake -B build-tsan -S . -DAGORA_TSAN=ON
 cmake --build build-tsan -j --target obs_test rms_chaos_test rms_failover_test \
   engine_test engine_stress_test engine_cache_test engine_federation_test \
-  federation_chaos_test net_service_test
+  federation_chaos_test net_service_test history_independence_test
 ./build-tsan/tests/obs_test
 ./build-tsan/tests/rms_chaos_test
 ./build-tsan/tests/rms_failover_test
@@ -84,6 +88,10 @@ cmake --build build-tsan -j --target obs_test rms_chaos_test rms_failover_test \
 # state races client threads and the engine's shard workers through the
 # admission queue, in-flight futures, and the atomic stats cells.
 ./build-tsan/tests/net_service_test
+# The history-independence suite joins the TSan pass with its ASan twin:
+# it is single-threaded, but it pins the property the plan cache and the
+# replicated shards above depend on.
+./build-tsan/tests/history_independence_test
 
 echo "tier1: all green"
 echo "tier1: LP perf numbers (BENCH_lp.json) are produced by tools/bench.sh"

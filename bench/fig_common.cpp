@@ -4,10 +4,10 @@
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
+#include <utility>
 
 #include "agree/capacity.h"
 #include "agree/topology.h"
-#include "alloc/model_cache.h"
 #include "obs/export.h"
 #include "util/flags.h"
 #include "util/rng.h"
@@ -68,14 +68,40 @@ alloc::AllocatorOptions bench_alloc_options() {
   return opts;
 }
 
+lp::Problem full_compact_model(const agree::AgreementSystem& sys,
+                               const agree::CapacityReport& rep, std::size_t a,
+                               double amount) {
+  const std::size_t n = sys.size();
+  lp::Problem p(lp::Sense::Minimize);
+  for (std::size_t k = 0; k < n; ++k) p.add_variable(0.0, rep.entitlement(k, a));
+  const std::size_t theta = p.add_variable(0.0, lp::kInfinity, 1.0);
+  std::vector<std::pair<std::size_t, double>> terms;
+  for (std::size_t k = 0; k < n; ++k) terms.emplace_back(k, 1.0);
+  p.add_constraint_sparse(terms, lp::Relation::Equal, amount);
+  for (std::size_t i = 0; i < n; ++i) {
+    terms.clear();
+    for (std::size_t k = 0; k < n; ++k) {
+      const double coeff = k == i ? sys.retained[i] : rep.shares(k, i);
+      if (coeff > 0.0) terms.emplace_back(k, coeff);
+    }
+    terms.emplace_back(theta, -1.0);
+    p.add_constraint_sparse(terms, lp::Relation::LessEqual, 0.0);
+  }
+  return p;
+}
+
+void repoint_full_compact_model(lp::Problem& p, const agree::CapacityReport& rep,
+                                std::size_t a, double amount) {
+  for (std::size_t k = 0; k < rep.capacity.size(); ++k)
+    p.set_bounds(k, 0.0, rep.entitlement(k, a));
+  p.set_rhs(0, amount);
+}
+
 lp::Problem compact_allocation_lp(std::size_t n) {
   const agree::AgreementSystem sys = complete_sharing_system(n);
   const agree::CapacityReport rep =
       agree::compute_capacities(sys, bench_alloc_options().transitive);
-  alloc::AllocationModelCache cache;
-  cache.build(sys, rep);
-  cache.patch(rep, /*a=*/0, rep.capacity[0] * 0.5);
-  return std::move(cache.problem());
+  return full_compact_model(sys, rep, /*a=*/0, rep.capacity[0] * 0.5);
 }
 
 agree::AgreementSystem banded_sharing_system(std::size_t n) {
@@ -96,16 +122,6 @@ alloc::AllocatorOptions sparse_bench_alloc_options() {
   opts.transitive.max_level = 2;
   opts.transitive.prune_below = 1e-8;
   return opts;
-}
-
-lp::Problem sparse_allocation_lp(std::size_t n) {
-  const agree::AgreementSystem sys = banded_sharing_system(n);
-  const agree::CapacityReport rep =
-      agree::compute_capacities(sys, sparse_bench_alloc_options().transitive);
-  alloc::AllocationModelCache cache;
-  cache.build(sys, rep);
-  cache.patch(rep, /*a=*/0, rep.capacity[0] * 0.5);
-  return std::move(cache.problem());
 }
 
 trace::Generator make_generator() {

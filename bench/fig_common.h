@@ -75,11 +75,24 @@ agree::AgreementSystem complete_sharing_system(std::size_t n);
 /// complete graphs at n = 40.
 alloc::AllocatorOptions bench_alloc_options();
 
-/// The compact allocation LP for complete_sharing_system(n), requester 0,
-/// amount = half of its available capacity. Built through the allocator's
-/// own AllocationModelCache, so the benchmark solves exactly the model
-/// Allocator::solve_compact solves (in particular the diagonal of the
-/// perturbation rows is retained_i, not 1.0).
+/// The full compact allocation LP of principal `a` requesting `amount`:
+/// d_0..d_{n-1} with 0 <= d_k <= U_ka, then theta; the demand row, then
+/// perturb_0..perturb_{n-1} (diagonal retained_i, off-diagonal K_ki). The
+/// allocator poses only this model's restriction to the requester's support
+/// (alloc::SupportModel); the LP micro-benchmarks keep the full model as
+/// LP-substrate stress.
+lp::Problem full_compact_model(const agree::AgreementSystem& sys,
+                               const agree::CapacityReport& rep, std::size_t a,
+                               double amount);
+
+/// Point a full_compact_model at request (a, amount): only the draw upper
+/// bounds and the demand rhs move, so a workspace solve re-reads them
+/// without rebuilding its standard form.
+void repoint_full_compact_model(lp::Problem& p, const agree::CapacityReport& rep,
+                                std::size_t a, double amount);
+
+/// The full compact allocation LP for complete_sharing_system(n), requester
+/// 0, amount = half of its available capacity.
 lp::Problem compact_allocation_lp(std::size_t n);
 
 /// Banded sharing system: principals on a ring of time zones share with
@@ -92,12 +105,6 @@ agree::AgreementSystem banded_sharing_system(std::size_t n);
 /// Transitive options for the banded system: chains capped at 2 hops keep
 /// the entitlement matrix banded (width ~12) at any n.
 alloc::AllocatorOptions sparse_bench_alloc_options();
-
-/// Compact allocation LP over banded_sharing_system(n) -- requester 0,
-/// amount = half its availability. ~2n+1 standard-form rows with O(1)
-/// nonzeros each; the lp scaling sweep (micro_lp, BENCH_lp.json) runs this
-/// at n in {100, 500, 1000}.
-lp::Problem sparse_allocation_lp(std::size_t n);
 
 /// Print the figure banner.
 void banner(const std::string& figure, const std::string& description);

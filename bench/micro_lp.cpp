@@ -2,20 +2,21 @@
 // tableau simplex (vs brute force on tiny instances) on allocation-shaped
 // LPs of growing size, all through the unified lp::solve entry point.
 //
-// Two fixtures:
-//   * figbench::compact_allocation_lp -- the dense complete-graph model the
-//     Allocator's compact path solves;
+// Two fixtures, both posing the FULL compact allocation model
+// (figbench::full_compact_model: every d_k and every perturbation row) as
+// LP-substrate stress:
+//   * figbench::compact_allocation_lp -- the dense complete-graph model;
 //   * figbench::banded_sharing_system -- a banded ring-of-time-zones system
-//     whose rows keep O(1) nonzeros as n grows, consulted through
-//     alloc::AllocationModelCache exactly like the production allocator --
-//     the regime the sparse basis exists for.
+//     whose rows keep O(1) nonzeros as n grows, the regime the sparse basis
+//     exists for.
 //
 // Before the google-benchmark registrations run, main() executes the
 // LPSCALE sweep: n in {100, 500, 1000} on the banded fixture. Each n runs
-// warm consults on the sparse basis and on the dense inverse (only through
-// n = 500 -- m^2 storage makes it the foil, not the subject), and cold
-// consults on the sparse basis -- the path every alloc::Allocator consult
-// takes. One machine-readable line per configuration:
+// warm consults of the full model on the sparse basis and on the dense
+// inverse (only through n = 500 -- m^2 storage makes it the foil, not the
+// subject), and cold consults through alloc::Allocator -- the production
+// path, which poses the requester's support model, solves it cold and
+// certifies it. One machine-readable line per configuration:
 //
 //   LPSCALE n=<n> backend=<sparse-lu|dense-inverse> start=<warm|cold>
 //     certified=<0|1> consults_per_s=<r> iterations=<it> basis_nnz=<z>
@@ -24,10 +25,10 @@
 // tools/bench.sh tees these into bench_results/lpscale_summary.txt and
 // tools/bench_lp_json.py folds them into BENCH_lp.json ("scaling" block).
 // The sweep doubles as the release gate: main() exits 1 unless every
-// consult of every configuration solves Optimal AND certifies against the
-// original problem (so the cold n = 1000 sparse consults cover the
-// production path end-to-end), and the sparse basis beats the dense inverse
-// by >= 5x warm consults/s at n = 100.
+// consult of every configuration solves Optimal (is granted, for the
+// allocator arm) AND certifies against the problem it posed (so the cold
+// n = 1000 consults cover the production path end-to-end), and the sparse
+// basis beats the dense inverse by >= 5x warm consults/s at n = 100.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -35,7 +36,8 @@
 #include <cstdlib>
 
 #include "agree/capacity.h"
-#include "alloc/model_cache.h"
+#include "alloc/allocator.h"
+#include "alloc/support_model.h"
 #include "fig_common.h"
 #include "lp/certify.h"
 #include "lp/solve.h"
@@ -54,9 +56,10 @@ lp::SolveOptions backend_opts(lp::Backend backend, lp::BasisRep basis) {
 
 // --- LPSCALE sweep ---------------------------------------------------------
 
-/// How each timed consult starts: from the previous optimal basis (the warm
-/// start lp::solve offers workspace callers) or from the slack basis (what
-/// alloc::Allocator does before every consult).
+/// How each timed consult starts: a warm workspace solve of the full model
+/// from the previous optimal basis (the warm start lp::solve offers
+/// workspace callers), or an alloc::Allocator consult (support model, slack
+/// basis, certified chain).
 enum class Start { Warm, Cold };
 
 const char* to_string(Start s) { return s == Start::Warm ? "warm" : "cold"; }
@@ -71,50 +74,81 @@ struct ScalePoint {
   lp::SolveResult result;
 };
 
-/// Solve + certify the banded fixture once for telemetry, then time a run of
-/// consults for throughput. Every consult must solve Optimal and certify.
-ScalePoint run_scale_point(std::size_t n, lp::BasisRep basis, Start start) {
+/// Request i of a run: a rotating requester and amount, so every consult
+/// solves against a genuinely different binding set (~10 warm pivots at
+/// n = 100).
+std::size_t requester(int i, std::size_t n) { return static_cast<std::size_t>(i) * 17 % n; }
+double amount(int i, double available) {
+  return available * (0.05 + 0.95 * static_cast<double>(i % 8) / 8.0);
+}
+
+/// Warm arm: solve + certify the full banded model once for telemetry, then
+/// time a run of workspace consults, each repointing the model at the next
+/// request (bounds + rhs motion that repatch_standard_form_rhs absorbs
+/// without a rebuild). Only the solves are timed; the certification of each
+/// answer is not. Reps are sized so each n = 1000 configuration finishes in
+/// under twenty seconds.
+ScalePoint run_warm_point(std::size_t n, lp::BasisRep basis) {
   ScalePoint pt;
   pt.n = n;
   pt.basis = basis;
-  pt.start = start;
+  pt.start = Start::Warm;
   const agree::AgreementSystem sys = figbench::banded_sharing_system(n);
   const agree::CapacityReport rep = agree::compute_capacities(
       sys, figbench::sparse_bench_alloc_options().transitive);
-  alloc::AllocationModelCache cache;
-  cache.build(sys, rep);
-  cache.patch(rep, /*a=*/0, rep.capacity[0] * 0.5);
+  lp::Problem p = figbench::full_compact_model(sys, rep, /*a=*/0, rep.capacity[0] * 0.5);
   const lp::SolveOptions opts = backend_opts(lp::Backend::Revised, basis);
 
-  lp::SolveWorkspace& ws = cache.workspace();
-  pt.result = lp::solve(cache.problem(), opts, &ws);
+  lp::SolveWorkspace ws;
+  pt.result = lp::solve(p, opts, &ws);
   pt.optimal = pt.result.optimal();
   lp::Verifier verifier(opts.tols);
-  pt.certified = verifier.certify(cache.problem(), pt.result).certified;
+  pt.certified = verifier.certify(p, pt.result).certified;
 
-  // Throughput: consults against the cached model, the allocator's
-  // per-request pattern -- AllocationModelCache::patch points the model at
-  // requester a's entitlements and amount (bounds + rhs motion that
-  // repatch_standard_form_rhs absorbs without a rebuild). A warm consult
-  // starts from the previous optimal basis; a cold one invalidates the
-  // workspace first, as alloc::Allocator does. Rotating the requester makes
-  // every consult solve against a genuinely different binding set (~10
-  // warm pivots at n = 100). Only the solves are timed; the certification
-  // of each answer is not. Reps are sized so each n = 1000 configuration
-  // finishes in under twenty seconds.
   const int reps = n >= 1000 ? 20 : (n >= 500 ? 50 : 200);
   std::chrono::duration<double> elapsed{0.0};
   for (int i = 0; i < reps; ++i) {
-    const std::size_t a = static_cast<std::size_t>(i) * 17 % n;
-    cache.patch(rep, a,
-                rep.capacity[a] * (0.05 + 0.95 * static_cast<double>(i % 8) / 8.0));
-    if (start == Start::Cold) ws.invalidate();
+    const std::size_t a = requester(i, n);
+    figbench::repoint_full_compact_model(p, rep, a, amount(i, rep.capacity[a]));
     const auto t0 = std::chrono::steady_clock::now();
-    const lp::SolveResult r = lp::solve(cache.problem(), opts, &ws);
+    const lp::SolveResult r = lp::solve(p, opts, &ws);
     elapsed += std::chrono::steady_clock::now() - t0;
     benchmark::DoNotOptimize(r.objective);
     if (!r.optimal()) pt.optimal = false;
-    if (!verifier.certify(cache.problem(), r).certified) pt.certified = false;
+    if (!verifier.certify(p, r).certified) pt.certified = false;
+  }
+  pt.consults_per_s = elapsed.count() > 0.0 ? reps / elapsed.count() : 0.0;
+  return pt;
+}
+
+/// Cold arm: the shipped consult. Telemetry comes from solving the first
+/// request's support model (alloc::SupportModel, what the allocator poses);
+/// throughput times alloc::Allocator::allocate end to end -- model build,
+/// cold solve, certification -- and every consult must be granted and
+/// certified.
+ScalePoint run_cold_point(std::size_t n) {
+  ScalePoint pt;
+  pt.n = n;
+  pt.start = Start::Cold;
+  const alloc::Allocator al(figbench::banded_sharing_system(n),
+                            figbench::sparse_bench_alloc_options());
+  const agree::CapacityReport& rep = al.capacities();
+  alloc::SupportModel model;
+  const lp::Problem& p = model.build(al.system(), rep, /*a=*/0, rep.capacity[0] * 0.5);
+  pt.result = lp::solve(p, lp::SolveOptions{}, &model.workspace());
+  pt.optimal = pt.result.optimal();
+  pt.certified = lp::Verifier().certify(p, pt.result).certified;
+
+  const int reps = 200;
+  std::chrono::duration<double> elapsed{0.0};
+  for (int i = 0; i < reps; ++i) {
+    const std::size_t a = requester(i, n);
+    const auto t0 = std::chrono::steady_clock::now();
+    const alloc::AllocationPlan plan = al.allocate(a, amount(i, al.available_to(a)));
+    elapsed += std::chrono::steady_clock::now() - t0;
+    benchmark::DoNotOptimize(plan.theta);
+    if (!plan.satisfied()) pt.optimal = false;
+    if (!plan.certified) pt.certified = false;
   }
   pt.consults_per_s = elapsed.count() > 0.0 ? reps / elapsed.count() : 0.0;
   return pt;
@@ -139,14 +173,13 @@ void print_scale_point(const ScalePoint& pt) {
       static_cast<unsigned long long>(s.max_eta_count));
 }
 
-/// Runs one configuration and records a gate failure unless every consult
-/// solved Optimal and certified.
-ScalePoint gated_point(std::size_t n, lp::BasisRep basis, Start start, bool& ok) {
-  const ScalePoint pt = run_scale_point(n, basis, start);
+/// Records a gate failure unless every consult of `pt` solved Optimal and
+/// certified.
+ScalePoint gated(const ScalePoint& pt, bool& ok) {
   print_scale_point(pt);
   if (!pt.certified || !pt.optimal) {
     std::fprintf(stderr, "GATE: %s %s n=%zu failed to solve+certify\n",
-                 lp::to_string(basis), to_string(start), n);
+                 lp::to_string(pt.basis), to_string(pt.start), pt.n);
     ok = false;
   }
   return pt;
@@ -159,14 +192,14 @@ bool run_scaling_sweep() {
   double sparse_100 = 0.0;
   double dense_100 = 0.0;
   for (const std::size_t n : {std::size_t{100}, std::size_t{500}, std::size_t{1000}}) {
-    const ScalePoint sparse = gated_point(n, lp::BasisRep::SparseLu, Start::Warm, ok);
+    const ScalePoint sparse = gated(run_warm_point(n, lp::BasisRep::SparseLu), ok);
     if (n == 100) sparse_100 = sparse.consults_per_s;
     if (n <= 500) {  // dense m^2 storage is the foil; skip it at n = 1000
-      const ScalePoint dense = gated_point(n, lp::BasisRep::DenseInverse, Start::Warm, ok);
+      const ScalePoint dense = gated(run_warm_point(n, lp::BasisRep::DenseInverse), ok);
       if (n == 100) dense_100 = dense.consults_per_s;
     }
-    // The production path: the sparse basis from the slack basis each time.
-    gated_point(n, lp::BasisRep::SparseLu, Start::Cold, ok);
+    // The production path: alloc::Allocator consults.
+    gated(run_cold_point(n), ok);
   }
   const double speedup = dense_100 > 0.0 ? sparse_100 / dense_100 : 0.0;
   std::printf("LPSCALE speedup_n100=%.2f\n", speedup);

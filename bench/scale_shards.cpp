@@ -123,8 +123,8 @@ SweepPoint measure(const agora::agree::AgreementSystem& sys, std::size_t threads
   std::vector<double> amounts(n);
   for (std::size_t i = 0; i < n; ++i) amounts[i] = rng.uniform(0.5, 4.0);
 
-  // Warm-up: one consult per participant primes every shard's warm-start
-  // workspace and model cache.
+  // Warm-up: one consult per participant sizes every shard's model and
+  // solver scratch.
   for (std::size_t i = 0; i < n; ++i) (void)eng.consult(i, amounts[i]);
 
   SweepPoint pt;

@@ -27,8 +27,6 @@ Allocator::Allocator(agree::AgreementSystem sys, AllocatorOptions opts)
       verifier_(opts.solve.tols) {
   sys_.validate(/*allow_overdraft=*/true);
   obs_plan_seconds_ = &opts_.sink.histogram("alloc.plan.seconds");
-  obs_cache_hits_ = &opts_.sink.counter("alloc.model_cache.hits");
-  obs_cache_misses_ = &opts_.sink.counter("alloc.model_cache.misses");
   obs_clamp_k_ = &opts_.sink.counter("alloc.clamp.overdraft_k");
   obs_clamp_u_ = &opts_.sink.counter("alloc.clamp.entitlement_u");
   obs_plans_satisfied_ = &opts_.sink.counter("alloc.plans.satisfied");
@@ -141,19 +139,20 @@ bool Allocator::try_fast_path(std::size_t a, double amount, AllocationPlan& plan
     if (i != a && row[i] > maxcoeff) maxcoeff = row[i];
   const double theta = amount * maxcoeff;
 
-  // Certify admission against the CURRENT compact model -- the same problem
-  // object the LP would have solved -- so a grant from this path carries the
-  // same "independently verified against the problem data" guarantee as a
-  // pipeline answer (minus optimality, which this path deliberately trades).
-  if (!cache_.built()) {
-    obs_cache_misses_->inc();
-    cache_.build(sys_, report_);
-  }
-  cache_.patch(report_, a, amount);
-  fast_x_.assign(n + 1, 0.0);
-  fast_x_[a] = amount;
-  fast_x_[n] = theta;
-  const lp::Certificate cert = verifier_.certify_admission(cache_.problem(), fast_x_, theta);
+  // Certify admission against the support model of this request -- the
+  // same problem the LP would have solved -- so a grant from this path
+  // carries the same "independently verified against the problem data"
+  // guarantee as a pipeline answer (minus optimality, which this path
+  // deliberately trades). The self-draw point in support coordinates: d_a
+  // (a is in the support unless U_aa = 0, and then amount is 0) and theta.
+  const lp::Problem& p = model_.build(sys_, report_, a, amount);
+  const std::vector<std::size_t>& cols = model_.columns();
+  fast_x_.assign(cols.size() + 1, 0.0);
+  const auto own = std::lower_bound(cols.begin(), cols.end(), a);
+  if (own != cols.end() && *own == a)
+    fast_x_[static_cast<std::size_t>(own - cols.begin())] = amount;
+  fast_x_[cols.size()] = theta;
+  const lp::Certificate cert = verifier_.certify_admission(p, fast_x_, theta);
   if (!cert.certified) {
     fastpath_fallthrough_.inc();
     if constexpr (obs::kEnabled) obs_fastpath_fallthrough_->inc();
@@ -182,28 +181,21 @@ AllocationPlan Allocator::solve_compact(std::size_t a, double amount, bool exact
   AllocationPlan plan;
   plan.capacity_before = report_.capacity;
 
-  // In both branches below, variables are d_0..d_{n-1} then theta, so the
-  // extraction after the solve is shared.
+  // The relaxed branch poses the support model (its columns are
+  // model_.columns(), then theta); the exact branch poses the full model
+  // (d_0..d_{n-1}, then theta).
   lp::SolveResult r;
   if (!exact) {
-    // Amortized path: the model structure is built once per Allocator;
-    // each request only patches the d_k bounds (U_kA) and the demand rhs.
-    if (!cache_.built()) {
-      obs_cache_misses_->inc();
-      cache_.build(sys_, report_);
-    } else {
-      obs_cache_hits_->inc();
-    }
-    cache_.patch(report_, a, amount);
+    const lp::Problem& p = model_.build(sys_, report_, a, amount);
     // Every consult starts from the slack basis. A warm start could land on
     // a different optimal vertex depending on which consults came before,
     // and a plan must be a pure function of (snapshot, request): the plan
     // cache, replicated shards and snapshot-restored GRM replicas rely on
-    // it. The workspace still supplies scratch and the rhs repatch.
-    lp::SolveWorkspace& ws = cache_.workspace();
+    // it. The workspace supplies scratch and, when the support repeats the
+    // last consult's, the standard-form rhs repatch.
+    lp::SolveWorkspace& ws = model_.workspace();
     ws.invalidate();
-    r = opts_.certify ? run_certified(cache_.problem(), &ws, plan)
-                      : lp::solve(cache_.problem(), opts_.solve, &ws);
+    r = opts_.certify ? run_certified(p, &ws, plan) : lp::solve(p, opts_.solve, &ws);
   } else {
     lp::ModelBuilder mb(lp::Sense::Minimize);
     // Draw variables bounded by A's entitlement at each node (U_kA; the own
@@ -256,16 +248,23 @@ AllocationPlan Allocator::solve_compact(std::size_t a, double amount, bool exact
   }
 
   plan.status = PlanStatus::Satisfied;
+  const std::vector<std::size_t>& cols = model_.columns();
+  const std::size_t ncols = exact ? n : cols.size();
+  plan.theta = r.x[ncols];
+  // drop_i = sum_k d_k * That_ki, accumulated in ascending k over the drawn
+  // columns only, reading K row by row.
   plan.draw.assign(n, 0.0);
-  for (std::size_t k = 0; k < n; ++k) plan.draw[k] = std::max(0.0, r.x[k]);
-  plan.theta = r.x[n];
-  plan.capacity_after.assign(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    double drop = 0.0;
-    for (std::size_t k = 0; k < n; ++k)
-      drop += plan.draw[k] * (k == i ? sys_.retained[i] : report_.shares(k, i));
-    plan.capacity_after[i] = report_.capacity[i] - drop;
+  std::vector<double>& after = plan.capacity_after;
+  after.assign(n, 0.0);
+  for (std::size_t j = 0; j < ncols; ++j) {
+    const std::size_t k = exact ? j : cols[j];
+    const double dk = std::max(0.0, r.x[j]);
+    plan.draw[k] = dk;
+    if (dk == 0.0) continue;
+    const double* row = report_.shares.row(k).data();
+    for (std::size_t i = 0; i < n; ++i) after[i] += dk * (i == k ? sys_.retained[k] : row[i]);
   }
+  for (std::size_t i = 0; i < n; ++i) after[i] = report_.capacity[i] - after[i];
   return plan;
 }
 

@@ -13,10 +13,18 @@
 //
 // Two formulations are provided and cross-checked in tests:
 //
-//   * Compact: n draw variables + theta. The capacity drop at i is the
+//   * Compact: draw variables d_k + theta. The capacity drop at i is the
 //     linear map  drop_i = sum_k d_k * That_ki  with That_ii = retained_i
-//     and That_ki = K_ki, so the whole model is (n+1) variables and (n+1)
-//     rows. This is what the simulator uses.
+//     and That_ki = K_ki, so the full model is (n+1) variables and (n+1)
+//     rows. This is what the simulator uses. In relaxed mode the LP posed
+//     is its restriction to the requester's support (support_model.h):
+//     only the d_k with U_kA > 0, and only the perturbation rows those
+//     columns touch. The restriction is exact -- a dropped d_k is fixed at
+//     0 by its bounds, and with those at 0 a dropped row reads
+//     -theta <= 0, implied by theta >= 0 -- so the pipeline certifies an
+//     answer with the same status and optimum as the full model's, and the
+//     draw is lifted back to n coordinates with zeros elsewhere. Exact mode
+//     poses the full model.
 //   * FullPaper: the paper's verbatim variable set -- I'_ij, C'_i, V'_i and
 //     theta, i.e. n^2 + n + 1 variables with constraints (1)-(6). Useful
 //     for fidelity and as a stress test for the LP substrate.
@@ -40,8 +48,8 @@
 #include "agree/capacity.h"
 #include "agree/matrices.h"
 #include "alloc/allocator_base.h"
-#include "alloc/model_cache.h"
 #include "alloc/plan.h"
+#include "alloc/support_model.h"
 #include "lp/certify.h"
 #include "lp/problem.h"
 #include "lp/result.h"
@@ -71,7 +79,7 @@ struct AllocatorOptions {
   Formulation formulation = Formulation::Compact;
   EqualityMode equality = EqualityMode::Relaxed;
   /// Every LP knob in one struct (see lp/solve.h), with lp's own defaults.
-  /// The compact relaxed model is patched in a cached workspace and never
+  /// The compact relaxed support model is solved in a workspace and never
   /// presolved; the rebuild paths (exact mode, FullPaper) presolve like any
   /// other lp::solve caller. `solve.backend` must stay Revised: the solve
   /// pipeline rejects any other engine at construction, so certified and
@@ -88,7 +96,7 @@ struct AllocatorOptions {
   /// retained entitlement (U_aa) is granted as the self-draw plan
   /// d = amount * e_a with theta = amount * max_i That_ai, skipping the LP
   /// entirely. The plan is still certified -- lp::Verifier::certify_admission
-  /// proves it feasible against the current compact model -- so the "no
+  /// proves it feasible against the request's support model -- so the "no
   /// uncertified grant" invariant holds, but theta is the self-draw
   /// perturbation, not the LP minimum (the LP may spread the draw thinner).
   /// Off by default; turn on where throughput beats perturbation optimality
@@ -162,8 +170,6 @@ class Allocator : public AllocatorBase {
   /// Cached registry handles (see obs/metrics.h); plan counters mutate
   /// behind const allocate().
   obs::LogHistogram* obs_plan_seconds_ = nullptr;
-  obs::Counter* obs_cache_hits_ = nullptr;
-  obs::Counter* obs_cache_misses_ = nullptr;
   obs::Counter* obs_clamp_k_ = nullptr;
   obs::Counter* obs_clamp_u_ = nullptr;
   obs::Counter* obs_plans_satisfied_ = nullptr;
@@ -172,10 +178,10 @@ class Allocator : public AllocatorBase {
   obs::Counter* obs_plans_failed_ = nullptr;
   obs::Counter* obs_fastpath_granted_ = nullptr;
   obs::Counter* obs_fastpath_fallthrough_ = nullptr;
-  /// Lazily built compact-model structure + solver workspace; logically a
-  /// memo of (sys_, report_), hence mutable behind const allocate(). Not
-  /// synchronized: one Allocator serves one allocate() at a time.
-  mutable AllocationModelCache cache_;
+  /// Per-consult support model + solver scratch, mutable behind const
+  /// allocate(). Not synchronized: one Allocator serves one allocate() at a
+  /// time.
+  mutable SupportModel model_;
   /// Certified solve chain (statistics mutate behind const allocate()).
   mutable lp::SolvePipeline pipeline_;
   /// Admission-certification scratch for the fast path.

@@ -7,12 +7,12 @@
 // (by agreement-graph connectivity; a single component is either cut
 // federated with border credits or hash-replicated -- see partition.h and
 // federation.h); each
-// shard owns a dedicated worker thread with its *own* warm-started
-// allocator (lp::SolveWorkspace + alloc::AllocationModelCache), extending
-// the single-threaded reuse of the warm-start work to per-shard reuse.
-// Requests enter through per-shard MPSC queues with batch coalescing:
-// everything queued on a shard while its worker was busy is drained in one
-// lock acquisition and solved back-to-back against the still-hot LP basis.
+// shard owns a dedicated worker thread with its *own* allocator, which
+// poses each consult's support model (alloc::SupportModel) and solves it
+// cold in its own lp::SolveWorkspace scratch. Requests enter through
+// per-shard MPSC queues with batch coalescing: everything queued on a shard
+// while its worker was busy is drained in one lock acquisition and solved
+// back-to-back.
 // Capacity/valuation reads go through an epoch-versioned immutable snapshot
 // (snapshot.h) and never touch a shard queue or allocator.
 //

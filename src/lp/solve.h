@@ -14,8 +14,9 @@
 // cannot help or would break a stronger contract:
 //
 //   * workspace solves never presolve: warm-start fingerprints and the rhs
-//     repatch key on the original matrix, and the allocator's consult loop
-//     must stay allocation-free (presolve rebuilds a Problem);
+//     repatch key on the original matrix (the allocator's consults are
+//     workspace solves of a support model it already trimmed to the
+//     requester's reach, see alloc/support_model.h);
 //   * a non-Optimal reduced outcome (infeasible/unbounded/decided-
 //     infeasible) falls back to solving the original problem directly, so
 //     Farkas/ray certificates always refer to the caller's problem;

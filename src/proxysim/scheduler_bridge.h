@@ -69,7 +69,7 @@ class SchedulerBridge {
   /// LP scheme state (unused for Endpoint): either a direct Allocator
   /// (scheduler_threads == 0) or a sharded engine::EnforcementEngine, both
   /// behind the AllocatorBase interface. Persistent either way, so the
-  /// transitive closure, model cache and solver workspace all amortize
+  /// transitive closure and the model and solver scratch all amortize
   /// across the thousands of per-epoch consults of a trace run.
   std::unique_ptr<alloc::AllocatorBase> allocator_;
   /// Endpoint scheme state: the agreement structure never changes between

@@ -190,25 +190,37 @@ TEST(Allocator, RejectsABackendPreference) {
   EXPECT_THROW(HierarchicalAllocator(sys, {0, 1}, opts), PreconditionError);
 }
 
-TEST(Allocator, ColdConsultOnALargeBandedRingCertifiesFirstTime) {
-  // A 500-site ring with shares to the three nearest neighbors, closed over
-  // two transitive hops. The cold phase 1 of this consult stalls for
-  // thousands of degenerate pivots; under the plain lowest-index Bland rule
-  // those pivots drove the basis singular and the consult failed.
-  constexpr std::size_t n = 500;
-  AgreementSystem sys(n);
-  Pcg32 rng(n * 13 + 5);
-  for (double& c : sys.capacity) c = rng.uniform(5.0, 20.0);
-  sys.relative = agree::distance_decay(n, {0.25, 0.12, 0.06, 0.0});
-  AllocatorOptions opts;
-  opts.transitive.max_level = 2;
-  opts.transitive.prune_below = 1e-8;
-  Allocator alloc(sys, opts);
-  const std::size_t a = 68;
-  const AllocationPlan plan = alloc.allocate(a, alloc.available_to(a) * 0.525);
-  ASSERT_TRUE(plan.satisfied());
-  EXPECT_TRUE(plan.certified);
-  EXPECT_EQ(plan.solver_fallbacks, 0u);
+TEST(Allocator, ColdConsultIterationsDoNotGrowWithRingSize) {
+  // A ring with shares to the three nearest neighbors, closed over two
+  // transitive hops: every requester reaches the same ~13 sites at any n.
+  // The consult poses only that support, so its cold simplex work must not
+  // grow with n (the full model took ~127 iterations per consult at n = 100
+  // and ~890 at n = 500).
+  auto mean_iterations = [](std::size_t n) {
+    AgreementSystem sys(n);
+    Pcg32 rng(n * 13 + 5);
+    for (double& c : sys.capacity) c = rng.uniform(5.0, 20.0);
+    sys.relative = agree::distance_decay(n, {0.25, 0.12, 0.06, 0.0});
+    AllocatorOptions opts;
+    opts.transitive.max_level = 2;
+    opts.transitive.prune_below = 1e-8;
+    const Allocator alloc(sys, opts);
+    double total = 0.0;
+    const int consults = 40;
+    for (int i = 0; i < consults; ++i) {
+      const std::size_t a = static_cast<std::size_t>(i) * 37 % n;
+      const AllocationPlan plan = alloc.allocate(a, alloc.available_to(a) * 0.525);
+      EXPECT_TRUE(plan.satisfied());
+      EXPECT_TRUE(plan.certified);
+      EXPECT_EQ(plan.solver_fallbacks, 0u);
+      total += static_cast<double>(plan.lp_iterations);
+    }
+    return total / consults;
+  };
+  const double at100 = mean_iterations(100);
+  const double at500 = mean_iterations(500);
+  EXPECT_GT(at100, 0.0);
+  EXPECT_LE(at500, 1.25 * at100) << "n=100: " << at100 << " n=500: " << at500;
 }
 
 TEST(Allocator, PresolveProducesSameAnswer) {

@@ -13,18 +13,23 @@
 //      problem and match the presolve-off solve.
 // Plus the update-vs-refactorization property: long pivot sequences through
 // the eta file must land on the same answers as a residual-forced
-// refactorize-every-step run.
+// refactorize-every-step run, and a guard for Bland's stable-pivot rule on
+// the full compact allocation LP of a 500-site ring.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstddef>
 #include <vector>
 
+#include "agree/capacity.h"
+#include "agree/topology.h"
+#include "full_compact_model.h"
 #include "lp/brute_force.h"
 #include "lp/certify.h"
 #include "lp/presolve.h"
 #include "lp/problem.h"
 #include "lp/solve.h"
+#include "lp/solve_pipeline.h"
 #include "lp/sparse_lu.h"
 #include "lp/standard_form.h"
 #include "lp/workspace.h"
@@ -362,6 +367,35 @@ TEST(Presolve, OffPathMatchesDirectSolveExactly) {
     EXPECT_EQ(a.duals, b.duals);
     EXPECT_EQ(a.iterations, b.iterations);
   }
+}
+
+// ---------------------------------------------------------- Bland pivots ---
+
+TEST(BlandPivots, ColdFullModelOnALargeBandedRingCertifiesFirstTime) {
+  // The full (n+1)-column compact allocation LP of a 500-site ring with
+  // shares to the three nearest neighbors, closed over two transitive hops.
+  // From the slack basis its phase 1 stalls for thousands of degenerate
+  // pivots; under the plain lowest-index Bland rule those pivots drove the
+  // basis singular and the solve failed. (The allocator now poses only the
+  // requester's ~13-column support model, so this guard lives here.)
+  constexpr std::size_t n = 500;
+  agree::AgreementSystem sys(n);
+  Pcg32 rng(n * 13 + 5);
+  for (double& c : sys.capacity) c = rng.uniform(5.0, 20.0);
+  sys.relative = agree::distance_decay(n, {0.25, 0.12, 0.06, 0.0});
+  agree::TransitiveOptions closure;
+  closure.max_level = 2;
+  closure.prune_below = 1e-8;
+  const agree::CapacityReport rep = agree::compute_capacities(sys, closure);
+  const std::size_t a = 68;
+  const Problem p = oracle::full_compact_model(sys, rep, a, rep.capacity[a] * 0.525);
+  SolvePipeline pipeline;
+  SolveWorkspace ws;  // a workspace solve is cold and never presolved
+  const PipelineResult r = pipeline.solve(p, &ws);
+  ASSERT_TRUE(r.certified());
+  EXPECT_EQ(r.result.status, Status::Optimal);
+  EXPECT_EQ(r.stage, PipelineStage::ColdRevised);
+  EXPECT_EQ(r.fallbacks, 0u);
 }
 
 }  // namespace

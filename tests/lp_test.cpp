@@ -106,12 +106,13 @@ TEST(StandardForm, MaximizeFlipsSign) {
 
 // ----------------------------------------- repatch_standard_form_rhs ------
 
-// The allocator's per-consult patch is set_rhs plus value-only set_bounds;
-// these pin that the O(rows) repatch produces exactly the standard form a
-// full rebuild would, and that anything structural refuses the fast path.
+// A workspace caller's per-solve patch is set_rhs plus value-only
+// set_bounds; these pin that the O(rows) repatch produces exactly the
+// standard form a full rebuild would, and that anything structural refuses
+// the fast path.
 
-/// Two vars with finite ranges (bound rows) + one constraint; the shape the
-/// AllocationModelCache patch loop exercises.
+/// Two vars with finite ranges (bound rows) + one constraint; the shape a
+/// bounds-and-rhs patch loop exercises.
 Problem repatchable_lp() {
   Problem p;
   p.add_variable("x", 0.0, 4.0, -1.0);

@@ -7,8 +7,8 @@
 // bound/rhs perturbations of a fixed-structure LP, the warm-started solve
 // must agree with the cold revised solve, the tableau solve, and (on tiny
 // instances) brute-force vertex enumeration: same status, same objective,
-// same duals within 1e-7. One layer up, the allocator's patched-model
-// consults must agree with an lp::solve of the same LP built from scratch.
+// same duals within 1e-7. One layer up, the allocator's consults must
+// agree with an lp::solve of the same LP built from scratch.
 #include <gtest/gtest.h>
 
 #include <algorithm>

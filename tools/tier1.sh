@@ -27,7 +27,7 @@ cmake --build build -j
 cmake -B build-asan -S . -DAGORA_SANITIZE=ON
 cmake --build build-asan -j --target rms_test rms_chaos_test rms_replica_test \
   rms_failover_test fuzz_test lp_certify_test lp_adversarial_test lp_sparse_test \
-  engine_cache_test history_independence_test \
+  engine_cache_test history_independence_test support_model_test \
   engine_federation_test credit_conservation_test federation_chaos_test \
   net_frame_test net_service_test net_soak_test
 ./build-asan/tests/rms_test
@@ -43,6 +43,11 @@ cmake --build build-asan -j --target rms_test rms_chaos_test rms_replica_test \
 # different consult/commit/release histories, and a snapshot-restored GRM
 # replica, must decide bit-identically.
 ./build-asan/tests/history_independence_test
+# Every relaxed compact consult poses the requester's support model: its
+# plans must match the full compact model's (bit for bit on a full
+# support). lp_sparse_test above carries the Bland stable-pivot guard on the
+# full 500-site ring model.
+./build-asan/tests/support_model_test
 # Federation suites under ASan/UBSan: the credit ledger's settle/consume
 # arithmetic, the border-bank allocator rebuilds, and the chaos harness's
 # envelope lifetimes are the new lifetime-sensitive surface.
@@ -71,7 +76,8 @@ cmake --build build-asan -j --target rms_test rms_chaos_test rms_replica_test \
 cmake -B build-tsan -S . -DAGORA_TSAN=ON
 cmake --build build-tsan -j --target obs_test rms_chaos_test rms_failover_test \
   engine_test engine_stress_test engine_cache_test engine_federation_test \
-  federation_chaos_test net_service_test history_independence_test
+  federation_chaos_test net_service_test history_independence_test support_model_test \
+  lp_sparse_test
 ./build-tsan/tests/obs_test
 ./build-tsan/tests/rms_chaos_test
 ./build-tsan/tests/rms_failover_test
@@ -92,6 +98,11 @@ cmake --build build-tsan -j --target obs_test rms_chaos_test rms_failover_test \
 # it is single-threaded, but it pins the property the plan cache and the
 # replicated shards above depend on.
 ./build-tsan/tests/history_independence_test
+# The support-model equivalence suite and the Bland stable-pivot guard join
+# their ASan twins: both pin what every consult the threaded engines run
+# above poses and solves.
+./build-tsan/tests/support_model_test
+./build-tsan/tests/lp_sparse_test --gtest_filter='BlandPivots.*'
 
 echo "tier1: all green"
 echo "tier1: LP perf numbers (BENCH_lp.json) are produced by tools/bench.sh"

@@ -104,12 +104,10 @@ struct SimConfig {
   obs::Sink sink = obs::Sink::global();
   /// Capacity of the run-local trace-event ring (rounded up to a power of
   /// two). When a run emits more events than this, the oldest are
-  /// overwritten (SimMetrics::events_overwritten accounts for them). The
-  /// default is deliberately small: at 48 bytes per slot a 4Ki-event ring
-  /// stays L2-resident, keeping the per-request admission event within the
-  /// <= 3% simulation-throughput overhead budget (see EXPERIMENTS.md); a
-  /// 64Ki ring cycles a ~3 MB working set and costs ~10%. Raise it when a
-  /// run's full event stream matters more than throughput.
+  /// overwritten (SimMetrics::events_overwritten accounts for them). At 48
+  /// bytes per slot the 4Ki default stays L2-resident; a 64Ki (3 MB) ring
+  /// measured -5% to +22% no-sharing wall time, inside host noise (see
+  /// EXPERIMENTS.md, micro_sim). Raise it when the full stream matters.
   std::size_t event_ring_capacity = 1 << 12;
 
   double proxy_power(std::size_t i) const { return power.empty() ? 1.0 : power.at(i); }

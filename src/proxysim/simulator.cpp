@@ -6,6 +6,7 @@
 #include <functional>
 #include <limits>
 #include <queue>
+#include <utility>
 
 #include "proxysim/scheduler_bridge.h"
 #include "util/error.h"
@@ -46,14 +47,15 @@ struct ProxyState {
   }
 };
 
-enum class EventKind : std::uint8_t { Completion = 0, Arrival = 1, Decision = 2 };
+/// Processing order of simultaneous events. Arrivals never enter the event
+/// heap: they stream from the per-proxy trace cursors.
+enum class EventKind : std::uint8_t { Completion, Arrival, Decision };
 
 struct Event {
   double time;
   EventKind kind;
   std::uint32_t proxy;
   std::uint64_t seq;  ///< tie-break for determinism
-  Job job;            ///< valid for Arrival
   std::vector<double> absorb;  ///< valid for Decision: per-proxy budgets
 
   bool operator>(const Event& o) const {
@@ -94,29 +96,36 @@ SimMetrics Simulator::run(const std::vector<std::vector<trace::TraceRequest>>& t
   std::priority_queue<Event, std::vector<Event>, std::greater<Event>> events;
   std::uint64_t seq = 0;
 
-  // Seed arrival events, the per-slot request counts, and each proxy's
-  // known demand curve (cumulative arriving work over time, used to report
-  // honest spare capacity to the scheduler).
   const std::size_t num_slots = metrics.requests_by_slot.size();
+  const auto slot_of = [&](double t) {
+    auto s = static_cast<std::size_t>(std::max(t, 0.0) / cfg_.slot_width);
+    return std::min(s, num_slots - 1);
+  };
+
+  // Validate every trace's order before simulating anything, and fill the
+  // per-slot request counts and each proxy's known demand curve (cumulative
+  // arriving work over time, used to report honest spare capacity to the
+  // scheduler).
   std::vector<std::vector<double>> work_prefix(n, std::vector<double>(num_slots + 1, 0.0));
   for (std::size_t p = 0; p < n; ++p) {
     double prev = -1.0;
     for (const auto& r : traces[p]) {
       AGORA_REQUIRE(r.arrival >= prev, "trace must be sorted by arrival");
       prev = r.arrival;
-      Job j;
-      j.arrival = r.arrival;
-      j.demand = cfg_.cost.demand(r.response_bytes);
-      j.origin = static_cast<std::uint32_t>(p);
-      events.push(Event{r.arrival, EventKind::Arrival, static_cast<std::uint32_t>(p), seq++, j, {}});
-      auto slot = static_cast<std::size_t>(r.arrival / cfg_.slot_width);
-      if (slot >= num_slots) slot = num_slots - 1;
-      ++metrics.requests_by_slot[slot];
+      ++metrics.requests_by_slot[slot_of(r.arrival)];
       ++metrics.total_requests;
-      work_prefix[p][slot + 1] += j.demand;
+      work_prefix[p][slot_of(r.arrival) + 1] += cfg_.cost.demand(r.response_bytes);
     }
     for (std::size_t s = 0; s < num_slots; ++s) work_prefix[p][s + 1] += work_prefix[p][s];
   }
+
+  // Each proxy's next arrival, smallest (time, proxy) on top; cursor[p]
+  // indexes that request in traces[p].
+  using Arrival = std::pair<double, std::uint32_t>;
+  std::priority_queue<Arrival, std::vector<Arrival>, std::greater<Arrival>> arrivals;
+  std::vector<std::size_t> cursor(n, 0);
+  for (std::uint32_t p = 0; p < n; ++p)
+    if (!traces[p].empty()) arrivals.emplace(traces[p][0].arrival, p);
 
   // Expected demand arriving at proxy p during [t0, t1), interpolating the
   // per-slot demand curve (zero past the horizon -- the trace is known).
@@ -141,11 +150,6 @@ SimMetrics Simulator::run(const std::vector<std::vector<trace::TraceRequest>>& t
     metrics.wait_histogram.add(wait);
   };
 
-  const auto slot_of = [&](double t) {
-    auto s = static_cast<std::size_t>(std::max(t, 0.0) / cfg_.slot_width);
-    return std::min(s, metrics.requests_by_slot.size() - 1);
-  };
-
   const auto try_start = [&](std::size_t p, double now) {
     ProxyState& st = proxies[p];
     if (st.busy || st.queue.empty()) return;
@@ -155,8 +159,8 @@ SimMetrics Simulator::run(const std::vector<std::vector<trace::TraceRequest>>& t
                now - j.arrival, j.demand);
     st.busy = true;
     st.busy_until = now + j.demand / cfg_.proxy_power(p);
-    events.push(Event{st.busy_until, EventKind::Completion, static_cast<std::uint32_t>(p),
-                      seq++, Job{}, {}});
+    events.push(
+        Event{st.busy_until, EventKind::Completion, static_cast<std::uint32_t>(p), seq++, {}});
   };
 
   // Spare capacity over the scheduling epoch, in unit-power demand seconds:
@@ -174,60 +178,7 @@ SimMetrics Simulator::run(const std::vector<std::vector<trace::TraceRequest>>& t
     return spare;
   };
 
-  std::function<void(std::size_t, const std::vector<double>&, double)> apply_decision;
-
-  const auto maybe_consult = [&](std::size_t p, double now) {
-    if (scheduler.kind() == SchedulerKind::None) return;
-    ProxyState& st = proxies[p];
-    const double power = cfg_.proxy_power(p);
-    if (st.queued_demand / power <= cfg_.queue_threshold) return;
-    if (now - st.last_consult < cfg_.consult_cooldown) return;
-    st.last_consult = now;
-    ++metrics.scheduler_consults;
-    ++metrics.consults_by_slot[slot_of(now)];
-
-    const double keep = cfg_.keep_local_fraction * cfg_.queue_threshold * power;
-    const double overflow = st.queued_demand - keep;
-    if (overflow <= 0.0) return;
-    sink.event(now, obs::EventKind::ConsultStarted, static_cast<std::uint32_t>(p), 0, overflow);
-
-    // The origin's reported spare must exclude the overflow it is trying to
-    // shed (but keep its expected arrivals), otherwise the LP sees the
-    // origin as saturated and dumps the whole overflow remotely instead of
-    // balancing local vs remote load.
-    std::vector<double> spare = spare_capacity(now);
-    const double busy_left = st.busy ? std::max(0.0, st.busy_until - now) : 0.0;
-    spare[p] = std::max(
-        0.0, cfg_.planning_window * power - keep - busy_left * power -
-                 (cfg_.spare_includes_forecast
-                      ? expected_work(p, now, now + cfg_.planning_window)
-                      : 0.0));
-
-    RedirectDecision dec = scheduler.plan(p, overflow, spare);
-    metrics.lp_iterations += dec.lp_iterations;
-    metrics.solver_fallbacks += dec.solver_fallbacks;
-    if (dec.certified) ++metrics.certified_consults;
-    if (dec.degraded_local) {
-      ++metrics.degraded_consults;
-      ++metrics.degraded_by_slot[slot_of(now)];
-      sink.event(now, obs::EventKind::ConsultDegraded, static_cast<std::uint32_t>(p), 0,
-                 overflow);
-    }
-
-    if (cfg_.decision_latency > 0.0) {
-      // Centralized scheduling has a round trip: the decision was computed
-      // against now-current state but takes effect only after the latency.
-      Event ev{now + cfg_.decision_latency, EventKind::Decision,
-               static_cast<std::uint32_t>(p), seq++, Job{}, std::move(dec.absorb)};
-      events.push(std::move(ev));
-      return;
-    }
-    apply_decision(p, dec.absorb, now);
-  };
-
-  // Defined below as a std::function so maybe_consult (above) and the event
-  // loop can both call it.
-  apply_decision = [&](std::size_t p, const std::vector<double>& absorb, double now) {
+  const auto apply_decision = [&](std::size_t p, const std::vector<double>& absorb, double now) {
     ProxyState& st = proxies[p];
     const double power = cfg_.proxy_power(p);
 
@@ -281,11 +232,7 @@ SimMetrics Simulator::run(const std::vector<std::vector<trace::TraceRequest>>& t
         metrics.redirected_demand += j.demand;
         sink.event(now, obs::EventKind::RequestRedirected, static_cast<std::uint32_t>(p),
                    static_cast<std::uint32_t>(k), j.demand, cfg_.redirect_cost);
-        auto slot = static_cast<std::size_t>(
-            std::min(j.arrival, cfg_.horizon - 1e-9) / cfg_.slot_width);
-        if (slot >= metrics.redirected_by_slot.size())
-          slot = metrics.redirected_by_slot.size() - 1;
-        ++metrics.redirected_by_slot[slot];
+        ++metrics.redirected_by_slot[slot_of(j.arrival)];
         proxies[k].push(j);
         try_start(k, now);
       }
@@ -293,29 +240,80 @@ SimMetrics Simulator::run(const std::vector<std::vector<trace::TraceRequest>>& t
     }
   };
 
-  while (!events.empty()) {
+  const auto maybe_consult = [&](std::size_t p, double now) {
+    if (scheduler.kind() == SchedulerKind::None) return;
+    ProxyState& st = proxies[p];
+    const double power = cfg_.proxy_power(p);
+    if (st.queued_demand / power <= cfg_.queue_threshold) return;
+    if (now - st.last_consult < cfg_.consult_cooldown) return;
+    st.last_consult = now;
+    ++metrics.scheduler_consults;
+    ++metrics.consults_by_slot[slot_of(now)];
+
+    const double keep = cfg_.keep_local_fraction * cfg_.queue_threshold * power;
+    const double overflow = st.queued_demand - keep;
+    if (overflow <= 0.0) return;
+    sink.event(now, obs::EventKind::ConsultStarted, static_cast<std::uint32_t>(p), 0, overflow);
+
+    // The origin's reported spare must exclude the overflow it is trying to
+    // shed (but keep its expected arrivals), otherwise the LP sees the
+    // origin as saturated and dumps the whole overflow remotely instead of
+    // balancing local vs remote load.
+    std::vector<double> spare = spare_capacity(now);
+    const double busy_left = st.busy ? std::max(0.0, st.busy_until - now) : 0.0;
+    spare[p] = std::max(
+        0.0, cfg_.planning_window * power - keep - busy_left * power -
+                 (cfg_.spare_includes_forecast
+                      ? expected_work(p, now, now + cfg_.planning_window)
+                      : 0.0));
+
+    RedirectDecision dec = scheduler.plan(p, overflow, spare);
+    metrics.lp_iterations += dec.lp_iterations;
+    metrics.solver_fallbacks += dec.solver_fallbacks;
+    if (dec.certified) ++metrics.certified_consults;
+    if (dec.degraded_local) {
+      ++metrics.degraded_consults;
+      ++metrics.degraded_by_slot[slot_of(now)];
+      sink.event(now, obs::EventKind::ConsultDegraded, static_cast<std::uint32_t>(p), 0,
+                 overflow);
+    }
+
+    if (cfg_.decision_latency > 0.0) {
+      // Centralized scheduling has a round trip: the decision was computed
+      // against now-current state but takes effect only after the latency.
+      events.push(Event{now + cfg_.decision_latency, EventKind::Decision,
+                        static_cast<std::uint32_t>(p), seq++, std::move(dec.absorb)});
+      return;
+    }
+    apply_decision(p, dec.absorb, now);
+  };
+
+  // Events run in (time, kind) order; simultaneous arrivals by proxy index
+  // and trace position, other simultaneous events in the order scheduled.
+  while (!arrivals.empty() || !events.empty()) {
+    if (!arrivals.empty() &&
+        (events.empty() || std::pair(arrivals.top().first, EventKind::Arrival) <
+                               std::pair(events.top().time, events.top().kind))) {
+      const auto [now, p] = arrivals.top();
+      arrivals.pop();
+      const trace::TraceRequest& r = traces[p][cursor[p]];
+      if (++cursor[p] < traces[p].size()) arrivals.emplace(traces[p][cursor[p]].arrival, p);
+      proxies[p].push(Job{r.arrival, cfg_.cost.demand(r.response_bytes), p, false});
+      try_start(p, now);
+      maybe_consult(p, now);
+      continue;
+    }
     const Event ev = events.top();
     events.pop();
-    switch (ev.kind) {
-      case EventKind::Arrival: {
-        proxies[ev.proxy].push(ev.job);
-        try_start(ev.proxy, ev.time);
-        maybe_consult(ev.proxy, ev.time);
-        break;
-      }
-      case EventKind::Completion: {
-        proxies[ev.proxy].busy = false;
-        try_start(ev.proxy, ev.time);
-        // Re-check the backlog: without this, a proxy whose arrivals have
-        // stopped would never consult again no matter how long its queue is.
-        maybe_consult(ev.proxy, ev.time);
-        break;
-      }
-      case EventKind::Decision: {
-        apply_decision(ev.proxy, ev.absorb, ev.time);
-        break;
-      }
+    if (ev.kind == EventKind::Decision) {
+      apply_decision(ev.proxy, ev.absorb, ev.time);
+      continue;
     }
+    proxies[ev.proxy].busy = false;
+    try_start(ev.proxy, ev.time);
+    // Re-check the backlog: without this, a proxy whose arrivals have
+    // stopped would never consult again no matter how long its queue is.
+    maybe_consult(ev.proxy, ev.time);
   }
 
   for (const auto& st : proxies)

@@ -27,7 +27,11 @@ class Simulator {
 
   /// Run to completion over the given per-proxy request streams (one vector
   /// of arrival-sorted requests per proxy). The simulation drains all queues
-  /// past the horizon so every request is served exactly once.
+  /// past the horizon so every request is served exactly once. All traces
+  /// are order-checked before any request runs. Simultaneous events run
+  /// completions, then arrivals by (proxy index, trace position), then
+  /// delayed decisions. Arrivals stream from the traces: memory is
+  /// O(proxies x slots + queued jobs + pending decisions), not trace length.
   SimMetrics run(const std::vector<std::vector<trace::TraceRequest>>& traces);
 
  private:

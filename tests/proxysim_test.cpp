@@ -1,9 +1,13 @@
 // Unit and invariant tests for the proxy case-study simulator: conservation,
-// determinism, the no-sharing baseline, LP vs endpoint redirection, redirect
-// costs and capacity scaling.
+// determinism, the event order at equal instants, the no-sharing baseline,
+// LP vs endpoint redirection, redirect costs and capacity scaling.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <numeric>
+#include <ostream>
+#include <utility>
+#include <vector>
 
 #include "agree/topology.h"
 #include "proxysim/simulator.h"
@@ -67,6 +71,35 @@ TEST(Simulator, CostModelCapsDemand) {
   EXPECT_NEAR(cost.demand(1000000000), 30.0, 1e-12);  // capped at c
 }
 
+TEST(Simulator, ConservationWithEmptyTraces) {
+  // Proxies 0, 2 and 4 receive no requests of their own but absorb
+  // redirected work; proxy 3's trace ends a third of the way in.
+  trace::GeneratorConfig gc;
+  gc.peak_rate = 12.0;
+  trace::Generator gen(gc, DiurnalProfile::flat(1.0, 2000.0, 10));
+  SimConfig cfg = small_config(5, 2000.0);
+  cfg.scheduler = SchedulerKind::Lp;
+  cfg.agreements = agree::complete_graph(5, 0.2);
+  cfg.event_ring_capacity = 1 << 16;  // room for every event of the run
+  auto early = gen.generate(2);
+  std::erase_if(early, [](const TraceRequest& r) { return r.arrival >= 700.0; });
+  const auto m = Simulator(cfg).run({{}, gen.generate(1), {}, early, {}});
+  EXPECT_GT(m.redirected_requests, 0u);
+  EXPECT_EQ(m.wait_overall.count(), m.total_requests);
+  std::uint64_t per_proxy = 0;
+  for (const auto& s : m.per_proxy_wait) per_proxy += s.count();
+  EXPECT_EQ(per_proxy, m.total_requests);
+  for (std::size_t p : {0u, 2u, 4u}) EXPECT_EQ(m.per_proxy_wait[p].count(), 0u);
+  if (!obs::kEnabled) return;
+  ASSERT_EQ(m.events_overwritten, 0u) << "test run must fit in the ring";
+  std::vector<std::uint64_t> admitted_at(5, 0);
+  for (const auto& ev : m.events)
+    if (ev.kind == obs::EventKind::RequestAdmitted) ++admitted_at[ev.actor];
+  EXPECT_EQ(std::accumulate(admitted_at.begin(), admitted_at.end(), std::uint64_t{0}),
+            m.total_requests);
+  EXPECT_GT(admitted_at[0] + admitted_at[2] + admitted_at[4], 0u);
+}
+
 TEST(Simulator, ConservationEveryRequestServedOnce) {
   trace::GeneratorConfig gc;
   gc.peak_rate = 5.0;
@@ -109,11 +142,130 @@ TEST(Simulator, RequestCountsPerSlot) {
 TEST(Simulator, RejectsUnsortedTraces) {
   Simulator sim(small_config(1));
   EXPECT_THROW(sim.run({{req_at(10.0, 1.0), req_at(5.0, 1.0)}}), PreconditionError);
+
+  // An unsorted pair at the very end of the last proxy's trace. Proxy 0's
+  // burst would consult the scheduler long before a run reached it: every
+  // trace is validated up front, so the run throws with no consult made.
+  obs::MetricsRegistry reg;
+  SimConfig cfg = small_config(3);
+  cfg.scheduler = SchedulerKind::Lp;
+  cfg.agreements = agree::complete_graph(3, 0.5);
+  cfg.queue_threshold = 2.0;
+  cfg.consult_cooldown = 1.0;
+  cfg.sink = obs::Sink{&reg, nullptr};
+  cfg.alloc_opts.sink = cfg.sink;
+  std::vector<TraceRequest> burst, tail;
+  for (int i = 0; i < 20; ++i) burst.push_back(req_at(10.0, 1.0));
+  for (int i = 0; i < 20; ++i) tail.push_back(req_at(20.0 + i, 0.5));
+  tail.push_back(req_at(900.0, 0.5));
+  tail.push_back(req_at(899.0, 0.5));
+  EXPECT_THROW(Simulator(cfg).run({burst, {}, tail}), PreconditionError);
+  if (!obs::kEnabled) return;
+  EXPECT_EQ(reg.counter("proxysim.bridge.plans").value(), 0u);
+  // The same traces, sorted, do consult: the zero above is not vacuous.
+  std::swap(tail[tail.size() - 2], tail.back());
+  Simulator(cfg).run({burst, {}, tail});
+  EXPECT_GT(reg.counter("proxysim.bridge.plans").value(), 0u);
 }
 
 TEST(Simulator, RejectsWrongTraceCount) {
   Simulator sim(small_config(2));
   EXPECT_THROW(sim.run({{req_at(1.0, 1.0)}}), PreconditionError);
+}
+
+// ------------------------------------------------------ event order at ties ---
+//
+// At equal instants the simulator processes completions, then arrivals (in
+// proxy-index, then trace order), then delayed scheduler decisions. These
+// tests pin that order through the admission stream.
+
+/// Cost model with exactly representable demands: `demand` seconds of work
+/// is a response of demand * 1024 bytes, so completion times are exact.
+SimConfig exact_config(std::size_t proxies) {
+  SimConfig cfg = small_config(proxies);
+  cfg.cost.base = 0.0;
+  cfg.cost.per_byte = 1.0 / 1024.0;
+  return cfg;
+}
+
+TraceRequest exact_req(double t, double demand) {
+  TraceRequest r;
+  r.arrival = t;
+  r.response_bytes = static_cast<std::uint64_t>(demand * 1024.0);
+  return r;
+}
+
+struct Admission {
+  std::uint32_t proxy;
+  double time;
+  double wait;
+  friend bool operator==(const Admission&, const Admission&) = default;
+  friend std::ostream& operator<<(std::ostream& os, const Admission& a) {
+    return os << "(proxy " << a.proxy << ", t=" << a.time << ", wait " << a.wait << ")";
+  }
+};
+
+std::vector<Admission> admissions(const SimMetrics& m) {
+  std::vector<Admission> out;
+  for (const auto& ev : m.events)
+    if (ev.kind == obs::EventKind::RequestAdmitted) out.push_back({ev.actor, ev.time, ev.a});
+  return out;
+}
+
+TEST(SimulatorEventOrder, EqualArrivalsAdmitLowerProxyFirst) {
+  // Proxies 0 and 4 have empty traces; proxy 3's ends before the tie.
+  const std::vector<std::vector<TraceRequest>> traces{
+      {},
+      {exact_req(10.0, 1.0)},
+      {exact_req(10.0, 1.0), exact_req(10.0, 1.0)},
+      {exact_req(5.0, 1.0)},
+      {},
+      {exact_req(3.0, 1.0), exact_req(10.0, 1.0), exact_req(12.0, 1.0)}};
+  const auto m = Simulator(exact_config(traces.size())).run(traces);
+  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
+  const std::vector<Admission> want{
+      {5, 3.0, 0.0},   {3, 5.0, 0.0},  {1, 10.0, 0.0}, {2, 10.0, 0.0},
+      {5, 10.0, 0.0},  {2, 11.0, 1.0}, {5, 12.0, 0.0}};
+  EXPECT_EQ(admissions(m), want);
+  EXPECT_EQ(m.total_requests, 7u);
+  EXPECT_EQ(m.per_proxy_wait[0].count() + m.per_proxy_wait[4].count(), 0u);
+}
+
+TEST(SimulatorEventOrder, CompletionAtAnArrivalInstantIsProcessedFirst) {
+  // Proxy 0's zero-demand job completes at the instant it arrives, which is
+  // also the arrival instant of its second job and of proxy 1's job. The
+  // completion frees proxy 0 first, so its second job starts at once --
+  // ahead of proxy 1's admission.
+  const std::vector<std::vector<TraceRequest>> traces{
+      {exact_req(10.0, 0.0), exact_req(10.0, 2.0)}, {exact_req(10.0, 1.0)}};
+  const auto m = Simulator(exact_config(2)).run(traces);
+  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
+  const std::vector<Admission> want{{0, 10.0, 0.0}, {0, 10.0, 0.0}, {1, 10.0, 0.0}};
+  EXPECT_EQ(admissions(m), want);
+}
+
+TEST(SimulatorEventOrder, DelayedDecisionAtAnArrivalInstantComesAfterTheArrival) {
+  // Proxy 0 gets six 1 s jobs at t=10; the sixth pushes its backlog past the
+  // threshold and consults once (long cooldown). The decision lands at t=12,
+  // the instant proxy 1's only job arrives. At t=12 proxy 0's completion
+  // runs first, then proxy 1's arrival (admitted with no wait), then the
+  // decision -- which now sees proxy 1 busy and moves a single job there,
+  // where it waits behind proxy 1's own.
+  SimConfig cfg = exact_config(2);
+  cfg.scheduler = SchedulerKind::Lp;
+  cfg.agreements = agree::complete_graph(2, 0.5);
+  cfg.queue_threshold = 4.0;
+  cfg.consult_cooldown = 1000.0;
+  cfg.decision_latency = 2.0;
+  std::vector<TraceRequest> burst(6, exact_req(10.0, 1.0));
+  const auto m = Simulator(cfg).run({burst, {exact_req(12.0, 1.0)}});
+  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
+  EXPECT_EQ(m.scheduler_consults, 1u);
+  EXPECT_EQ(m.redirected_requests, 1u);
+  const std::vector<Admission> want{{0, 10.0, 0.0}, {0, 11.0, 1.0}, {0, 12.0, 2.0},
+                                    {1, 12.0, 0.0}, {0, 13.0, 3.0}, {1, 13.0, 3.0},
+                                    {0, 14.0, 4.0}};
+  EXPECT_EQ(admissions(m), want);
 }
 
 // -------------------------------------------------------------- redirection ---

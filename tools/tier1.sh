@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification: configure, build, run the full test suite, then
-# rebuild the rms/chaos-sensitive tests under ASan+UBSan and run them.
+# rebuild the rms/chaos-sensitive and simulator tests under ASan+UBSan and
+# run them.
 # Usage: tools/tier1.sh   (from the repository root)
 set -euo pipefail
 
@@ -29,7 +30,7 @@ cmake --build build-asan -j --target rms_test rms_chaos_test rms_replica_test \
   rms_failover_test fuzz_test lp_certify_test lp_adversarial_test lp_sparse_test \
   engine_cache_test history_independence_test support_model_test \
   engine_federation_test credit_conservation_test federation_chaos_test \
-  net_frame_test net_service_test net_soak_test
+  net_frame_test net_service_test net_soak_test proxysim_test latency_test
 ./build-asan/tests/rms_test
 ./build-asan/tests/rms_chaos_test
 ./build-asan/tests/rms_replica_test
@@ -61,6 +62,11 @@ cmake --build build-asan -j --target rms_test rms_chaos_test rms_replica_test \
 ./build-asan/tests/net_frame_test
 ./build-asan/tests/net_service_test
 ./build-asan/tests/net_soak_test
+# The proxy simulator under ASan/UBSan: the event loop indexes each proxy's
+# trace through a cursor merged against the completion/decision heap, and
+# delayed decisions carry their per-proxy budgets through that heap.
+./build-asan/tests/proxysim_test
+./build-asan/tests/latency_test
 
 # ThreadSanitizer pass over the deliberately multithreaded code: the
 # concurrent observability substrate (metrics registry, lock-free EventRing

@@ -2,7 +2,7 @@
 // Figure-13-like consult sequence (256 spare-refresh + allocate consults
 // against 10 proxies with distance-decay agreements) run with solution
 // certification off (trust the solver) vs on (every LP answer re-verified
-// against the original problem, staged fallback chain armed). Each consult
+// against the original problem, an uncertified one denied). Each consult
 // is a cold revised solve, so the overhead ratio is the certificate check
 // over a cold solve.
 //

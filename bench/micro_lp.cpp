@@ -11,14 +11,15 @@
 //     exists for.
 //
 // Before the google-benchmark registrations run, main() executes the
-// LPSCALE sweep: n in {100, 500, 1000} on the banded fixture. Each n runs
-// warm consults of the full model on the sparse basis and on the dense
-// inverse (only through n = 500 -- m^2 storage makes it the foil, not the
-// subject), and cold consults through alloc::Allocator -- the production
-// path, which poses the requester's support model, solves it cold and
-// certifies it. One machine-readable line per configuration:
+// LPSCALE sweep: n in {100, 500, 1000} on the banded fixture. Every consult
+// is a cold solve from the slack basis. Each n runs consults of the full
+// model on the sparse basis, plus the dense inverse at n = 100 only (m^2
+// storage and dense pivots make it the foil, not the subject), and
+// consults through alloc::Allocator -- the production path, which poses
+// the requester's support model, solves it and certifies it. One
+// machine-readable line per configuration:
 //
-//   LPSCALE n=<n> backend=<sparse-lu|dense-inverse> start=<warm|cold>
+//   LPSCALE n=<n> backend=<sparse-lu|dense-inverse> model=<full|support>
 //     certified=<0|1> consults_per_s=<r> iterations=<it> basis_nnz=<z>
 //     lu_nnz=<z> fill_ratio=<f> refactorizations=<c> max_eta=<e>
 //
@@ -26,9 +27,10 @@
 // tools/bench_lp_json.py folds them into BENCH_lp.json ("scaling" block).
 // The sweep doubles as the release gate: main() exits 1 unless every
 // consult of every configuration solves Optimal (is granted, for the
-// allocator arm) AND certifies against the problem it posed (so the cold
-// n = 1000 consults cover the production path end-to-end), and the sparse
-// basis beats the dense inverse by >= 5x warm consults/s at n = 100.
+// allocator arm) AND certifies against the problem it posed (so the
+// n = 1000 allocator consults cover the production path end-to-end), and
+// the sparse basis beats the dense inverse by >= 5x full-model consults/s
+// at n = 100.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -56,18 +58,16 @@ lp::SolveOptions backend_opts(lp::Backend backend, lp::BasisRep basis) {
 
 // --- LPSCALE sweep ---------------------------------------------------------
 
-/// How each timed consult starts: a warm workspace solve of the full model
-/// from the previous optimal basis (the warm start lp::solve offers
-/// workspace callers), or an alloc::Allocator consult (support model, slack
-/// basis, certified chain).
-enum class Start { Warm, Cold };
+/// What each timed consult poses: the full compact model through lp::solve,
+/// or the requester's support model through alloc::Allocator.
+enum class Model { Full, Support };
 
-const char* to_string(Start s) { return s == Start::Warm ? "warm" : "cold"; }
+const char* to_string(Model m) { return m == Model::Full ? "full" : "support"; }
 
 struct ScalePoint {
   std::size_t n = 0;
   lp::BasisRep basis = lp::BasisRep::SparseLu;
-  Start start = Start::Warm;
+  Model model = Model::Full;
   bool certified = false;
   bool optimal = false;
   double consults_per_s = 0.0;
@@ -75,24 +75,23 @@ struct ScalePoint {
 };
 
 /// Request i of a run: a rotating requester and amount, so every consult
-/// solves against a genuinely different binding set (~10 warm pivots at
-/// n = 100).
+/// solves against a genuinely different binding set.
 std::size_t requester(int i, std::size_t n) { return static_cast<std::size_t>(i) * 17 % n; }
 double amount(int i, double available) {
   return available * (0.05 + 0.95 * static_cast<double>(i % 8) / 8.0);
 }
 
-/// Warm arm: solve + certify the full banded model once for telemetry, then
-/// time a run of workspace consults, each repointing the model at the next
-/// request (bounds + rhs motion that repatch_standard_form_rhs absorbs
-/// without a rebuild). Only the solves are timed; the certification of each
-/// answer is not. Reps are sized so each n = 1000 configuration finishes in
-/// under twenty seconds.
-ScalePoint run_warm_point(std::size_t n, lp::BasisRep basis) {
+/// Full-model arm: solve + certify the full banded model once for
+/// telemetry, then time a run of workspace consults, each repointing the
+/// model at the next request (bounds + rhs motion that
+/// repatch_standard_form_rhs absorbs without a rebuild) and solving it cold.
+/// Only the solves are timed; the certification of each answer is not. Reps
+/// are sized so the n = 1000 configuration finishes in about ten seconds.
+ScalePoint run_full_point(std::size_t n, lp::BasisRep basis) {
   ScalePoint pt;
   pt.n = n;
   pt.basis = basis;
-  pt.start = Start::Warm;
+  pt.model = Model::Full;
   const agree::AgreementSystem sys = figbench::banded_sharing_system(n);
   const agree::CapacityReport rep = agree::compute_capacities(
       sys, figbench::sparse_bench_alloc_options().transitive);
@@ -121,15 +120,15 @@ ScalePoint run_warm_point(std::size_t n, lp::BasisRep basis) {
   return pt;
 }
 
-/// Cold arm: the shipped consult. Telemetry comes from solving the first
-/// request's support model (alloc::SupportModel, what the allocator poses);
-/// throughput times alloc::Allocator::allocate end to end -- model build,
-/// cold solve, certification -- and every consult must be granted and
+/// Support-model arm: the shipped consult. Telemetry comes from solving the
+/// first request's support model (alloc::SupportModel, what the allocator
+/// poses); throughput times alloc::Allocator::allocate end to end -- model
+/// build, solve, certification -- and every consult must be granted and
 /// certified.
-ScalePoint run_cold_point(std::size_t n) {
+ScalePoint run_support_point(std::size_t n) {
   ScalePoint pt;
   pt.n = n;
-  pt.start = Start::Cold;
+  pt.model = Model::Support;
   const alloc::Allocator al(figbench::banded_sharing_system(n),
                             figbench::sparse_bench_alloc_options());
   const agree::CapacityReport& rep = al.capacities();
@@ -161,10 +160,10 @@ void print_scale_point(const ScalePoint& pt) {
                                 static_cast<double>(s.basis_nnz)
                           : 0.0;
   std::printf(
-      "LPSCALE n=%zu backend=%s start=%s certified=%d consults_per_s=%.2f "
+      "LPSCALE n=%zu backend=%s model=%s certified=%d consults_per_s=%.2f "
       "iterations=%llu basis_nnz=%llu lu_nnz=%llu fill_ratio=%.3f "
       "refactorizations=%llu max_eta=%llu\n",
-      pt.n, lp::to_string(pt.basis), to_string(pt.start),
+      pt.n, lp::to_string(pt.basis), to_string(pt.model),
       pt.certified && pt.optimal ? 1 : 0, pt.consults_per_s,
       static_cast<unsigned long long>(pt.result.iterations),
       static_cast<unsigned long long>(s.basis_nnz),
@@ -179,27 +178,26 @@ ScalePoint gated(const ScalePoint& pt, bool& ok) {
   print_scale_point(pt);
   if (!pt.certified || !pt.optimal) {
     std::fprintf(stderr, "GATE: %s %s n=%zu failed to solve+certify\n",
-                 lp::to_string(pt.basis), to_string(pt.start), pt.n);
+                 lp::to_string(pt.basis), to_string(pt.model), pt.n);
     ok = false;
   }
   return pt;
 }
 
 /// Returns false (gate failure) unless every configuration solves and
-/// certifies every consult and sparse >= 5x dense (warm) at n = 100.
+/// certifies every consult and sparse >= 5x dense (full model) at n = 100.
 bool run_scaling_sweep() {
   bool ok = true;
   double sparse_100 = 0.0;
   double dense_100 = 0.0;
   for (const std::size_t n : {std::size_t{100}, std::size_t{500}, std::size_t{1000}}) {
-    const ScalePoint sparse = gated(run_warm_point(n, lp::BasisRep::SparseLu), ok);
-    if (n == 100) sparse_100 = sparse.consults_per_s;
-    if (n <= 500) {  // dense m^2 storage is the foil; skip it at n = 1000
-      const ScalePoint dense = gated(run_warm_point(n, lp::BasisRep::DenseInverse), ok);
-      if (n == 100) dense_100 = dense.consults_per_s;
+    const ScalePoint sparse = gated(run_full_point(n, lp::BasisRep::SparseLu), ok);
+    if (n == 100) {
+      sparse_100 = sparse.consults_per_s;
+      dense_100 = gated(run_full_point(n, lp::BasisRep::DenseInverse), ok).consults_per_s;
     }
     // The production path: alloc::Allocator consults.
-    gated(run_cold_point(n), ok);
+    gated(run_support_point(n), ok);
   }
   const double speedup = dense_100 > 0.0 ? sparse_100 / dense_100 : 0.0;
   std::printf("LPSCALE speedup_n100=%.2f\n", speedup);
@@ -246,21 +244,6 @@ void BM_RevisedSimplexSparse(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RevisedSimplexSparse)->Arg(5)->Arg(10)->Arg(20)->Arg(40);
-
-/// Same solver, but with a persistent workspace: rhs/bounds are unchanged
-/// between iterations, so every solve after the first warm-starts from the
-/// optimal basis and should price once and pivot zero times.
-void BM_RevisedSimplexWarm(benchmark::State& state) {
-  const lp::Problem p = compact_allocation_lp(static_cast<std::size_t>(state.range(0)));
-  const lp::SolveOptions opts =
-      backend_opts(lp::Backend::Revised, lp::BasisRep::SparseLu);
-  lp::SolveWorkspace ws;
-  for (auto _ : state) {
-    const lp::SolveResult r = lp::solve(p, opts, &ws);
-    benchmark::DoNotOptimize(r.objective);
-  }
-}
-BENCHMARK(BM_RevisedSimplexWarm)->Arg(5)->Arg(10)->Arg(20)->Arg(40);
 
 void BM_BruteForce(benchmark::State& state) {
   const lp::Problem p = compact_allocation_lp(static_cast<std::size_t>(state.range(0)));

@@ -4,7 +4,7 @@
 // mix over a 512-shape catalog, measured in three configurations:
 //
 //   * baseline       -- PR5 engine: every consult queues to a shard worker
-//                       and solves (warm-started) in the LP,
+//                       and solves (cold) in the LP,
 //   * fastpath       -- the theta<=1 allocator fast path alone: consults
 //                       still queue to a worker, but trivially-feasible
 //                       requests skip the simplex (certified residual
@@ -83,7 +83,7 @@ PhaseResult measure(const agora::agree::AgreementSystem& sys, const std::string&
   cfg.seed = 7;
   agora::trace::ZipfShapeGenerator gen(cfg);
 
-  // Warm-up: one pass over the full shape catalog primes the warm-start
+  // Warm-up: one pass over the full shape catalog sizes the solver
   // workspaces and, when enabled, populates the cache -- the steady state a
   // long-lived enforcement daemon runs in. Its counter contributions are
   // snapshotted so rates below cover the measured loop only.

@@ -174,7 +174,7 @@ int main(int argc, char** argv) {
   const std::uint16_t port = service.port();
 
   // Phase 1: calibrate the sustainable rate (closed loop, after a warmup
-  // that settles the allocators' warm-start bases).
+  // that sizes the allocators' solver workspaces).
   (void)drive(port, kCalWorkers, std::chrono::milliseconds(300));
   const PhaseResult cal = drive(port, kCalWorkers, std::chrono::milliseconds(1000));
   const double sustainable_rps = static_cast<double>(cal.accepted) / cal.seconds;

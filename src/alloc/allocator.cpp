@@ -187,14 +187,12 @@ AllocationPlan Allocator::solve_compact(std::size_t a, double amount, bool exact
   lp::SolveResult r;
   if (!exact) {
     const lp::Problem& p = model_.build(sys_, report_, a, amount);
-    // Every consult starts from the slack basis. A warm start could land on
-    // a different optimal vertex depending on which consults came before,
-    // and a plan must be a pure function of (snapshot, request): the plan
-    // cache, replicated shards and snapshot-restored GRM replicas rely on
-    // it. The workspace supplies scratch and, when the support repeats the
-    // last consult's, the standard-form rhs repatch.
+    // Every solve starts cold from the slack basis, so a plan is a pure
+    // function of (snapshot, request): the plan cache, replicated shards and
+    // snapshot-restored GRM replicas rely on it. The workspace supplies
+    // scratch and, when the support repeats the last consult's, the
+    // standard-form rhs repatch.
     lp::SolveWorkspace& ws = model_.workspace();
-    ws.invalidate();
     r = opts_.certify ? run_certified(p, &ws, plan) : lp::solve(p, opts_.solve, &ws);
   } else {
     lp::ModelBuilder mb(lp::Sense::Minimize);

@@ -34,10 +34,11 @@
 // DESIGN.md). EqualityMode::Relaxed (default) drops (3); Exact keeps it and
 // falls back to Relaxed when it renders the program infeasible.
 //
-// Every LP runs through lp::SolvePipeline: cold revised simplex, with the
-// dense tableau as its certified fallback. Each consult starts from the
-// slack basis, so a plan is a pure function of (system state, request) and
-// never of the consults that came before it.
+// Every LP runs through lp::SolvePipeline: one cold revised-simplex solve,
+// certified by lp::Verifier; an answer that does not certify is a
+// conservative denial. Each consult starts from the slack basis, so a plan
+// is a pure function of (system state, request) and never of the consults
+// that came before it.
 #pragma once
 
 #include <atomic>
@@ -138,8 +139,8 @@ class Allocator : public AllocatorBase {
   void set_capacities(std::vector<double> v);
   void set_capacities(std::span<const double> v) override;
 
-  /// Degradation telemetry of the certified solve chain (attempts,
-  /// certification failures, fallback depth, solver health counters).
+  /// Degradation telemetry of the certified solve (attempts, certification
+  /// failures, exhausted solves, solver health counters).
   /// All-zero when `certify` is off.
   const lp::PipelineStats* solver_stats() const override { return &pipeline_.stats(); }
 
@@ -155,8 +156,8 @@ class Allocator : public AllocatorBase {
   AllocationPlan solve_compact(std::size_t a, double amount, bool exact) const;
   AllocationPlan solve_full(std::size_t a, double amount, bool exact) const;
   lp::SolveResult run_solver(const lp::Problem& p) const;
-  /// Certified path: run the staged pipeline and record certification
-  /// outcome + fallback depth on the plan.
+  /// Certified path: run the pipeline and record the certification outcome
+  /// on the plan.
   lp::SolveResult run_certified(const lp::Problem& p, lp::SolveWorkspace* ws,
                                 AllocationPlan& plan) const;
   /// Refresh entitlements/capacities from the cached share matrix. The

@@ -65,8 +65,8 @@ struct AllocationPlan {
   /// when the allocator runs with certification disabled.
   bool certified = false;
 
-  /// Solve-chain stages tried beyond the first before an answer certified
-  /// (0 on the happy path; see lp::SolvePipeline).
+  /// Solve stages tried beyond the first before an answer certified. The
+  /// certified solve is one stage (lp::SolvePipeline), so this reads 0.
   std::uint64_t solver_fallbacks = 0;
 
   /// Capacity-snapshot epoch this decision was made against, stamped by the

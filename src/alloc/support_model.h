@@ -64,8 +64,8 @@ class SupportModel {
   /// Principal k of each support column, ascending; theta is the column
   /// after the last of them.
   const std::vector<std::size_t>& columns() const { return cols_; }
-  /// Scratch for the revised solver; the caller invalidates it before each
-  /// solve, so no state carries from one consult to the next.
+  /// Scratch for the revised solver. Only the standard form carries from
+  /// one consult to the next (for the rhs repatch); every solve is cold.
   lp::SolveWorkspace& workspace() { return ws_; }
 
  private:

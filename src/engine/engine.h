@@ -69,8 +69,8 @@ struct EngineOptions {
   /// default: with the cache on, repeated shapes are answered from the first
   /// decision of that epoch instead of being re-solved, which a test
   /// asserting per-call solver telemetry would notice. Decisions themselves
-  /// are unchanged (same epoch => same LP answer, by warm-start
-  /// path-independence).
+  /// are unchanged (same epoch => same LP answer: every consult is a cold
+  /// solve, a pure function of (snapshot, request)).
   bool plan_cache = false;
   /// Slot count for the decision cache (rounded up to a power of two).
   std::size_t plan_cache_slots = std::size_t{1} << 13;

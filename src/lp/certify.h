@@ -1,10 +1,11 @@
 // certify.h -- independent verification of LP answers.
 //
 // The enforcement guarantee (paper Section 3) is only as strong as the LP
-// answer backing each consult, and the warm-started revised simplex reuses a
-// cached basis inverse across hundreds of perturbed solves -- exactly the
-// regime where accumulated floating-point drift or a degenerate basis can
-// silently return a wrong allocation. The Verifier closes that gap: it
+// answer backing each consult, and the revised simplex updates a factored
+// basis through an eta file over degenerate, badly scaled allocation LPs --
+// exactly the regime where accumulated floating-point drift or a degenerate
+// basis can silently return a wrong allocation. The Verifier closes that
+// gap: it
 // checks any returned solution against the ORIGINAL problem, using only the
 // problem data (never the solver's internal state), and returns a typed
 // Certificate with the worst residual of every check.
@@ -29,7 +30,7 @@
 // span 1e-8..1e8.
 //
 // A Verifier keeps reusable scratch so steady-state certification of the
-// warm consult loop allocates nothing; like SolveWorkspace it is therefore
+// consult loop allocates nothing; like SolveWorkspace it is therefore
 // single-threaded state.
 #pragma once
 

@@ -42,9 +42,9 @@ void compute_xb(const StandardForm& sf, SolveWorkspace& W, const SolverOptions& 
 }
 
 /// Rebuild the factored basis (sparse LU, or the explicit dense inverse
-/// under BasisRep::DenseInverse) and xb from the basis. Resets the
-/// cross-solve pivot counter. When `stats` is given, counts the rebuild and
-/// refreshes the cheap condition estimate plus the sparsity telemetry.
+/// under BasisRep::DenseInverse) and xb from the basis. Resets the pivot
+/// counter. When `stats` is given, counts the rebuild and refreshes the
+/// cheap condition estimate plus the sparsity telemetry.
 bool refactorize(const StandardForm& sf, SolveWorkspace& W, const SolverOptions& opts,
                  SolveStats* stats = nullptr) {
   const std::size_t m = sf.rows();
@@ -328,25 +328,23 @@ PhaseOutcome run_phase(const StandardForm& sf, SolveWorkspace& W,
 
   for (std::uint64_t it = 0; it < opts.max_iterations; ++it) {
     const bool bland = degenerate_streak >= opts.stall_threshold;
-    // Periodic refactorization. The sparse path keys on the workspace-global
-    // pivot counter so the eta file stays bounded by kRefactorInterval even
-    // across phase transitions and warm re-entries (the eta file persists
-    // where the phase-local counter restarts); the dense path keeps the
-    // historical phase-local cadence bit-for-bit.
-    const std::uint64_t interval = RevisedSimplexSolver::kRefactorInterval;
+    // Periodic refactorization. The sparse path keys on the solve's pivot
+    // counter so the eta file stays bounded by kRefactorInterval across the
+    // phase-1 -> phase-2 transition (the eta file persists where the
+    // phase-local counter restarts); the dense path keeps the historical
+    // phase-local cadence bit-for-bit.
     const std::uint64_t since =
         use_sparse(opts) ? W.pivots_since_factor : since_refactor;
     // Cost-based cadence on top of the pivot count: once the eta file holds
     // more nonzeros than the LU factors themselves, every ftran/btran pays
     // more to replay the update history than to apply the factorization, so
-    // rebuilding is cheaper than carrying on. This is what keeps the warm
-    // consult loop's solves eta-light. The pivot floor stops the trigger
-    // from thrashing early in phase 1, where the slack basis factors to
-    // lu_nnz ~ m and a couple of etas already outweigh it even though the
+    // rebuilding is cheaper than carrying on. The pivot floor stops the
+    // trigger from thrashing early in phase 1, where the slack basis factors
+    // to lu_nnz ~ m and a couple of etas already outweigh it even though the
     // file is still trivially cheap to replay.
     const bool eta_heavy = use_sparse(opts) && W.pivots_since_factor >= 8 &&
                            W.slu.eta_nnz() > W.slu.lu_nnz();
-    if (since >= interval || eta_heavy) {
+    if (since >= kRefactorInterval || eta_heavy) {
       if (!refactorize(sf, W, opts, &stats)) return PhaseOutcome::NumericalFailure;
       since_refactor = 0;
     } else if (W.pivots_since_factor > 0) {
@@ -417,8 +415,8 @@ PhaseOutcome run_phase(const StandardForm& sf, SolveWorkspace& W,
       // y came through the eta file, and a drifted y can make an improving
       // column look priced-out. A backward-stable y (checked directly, one
       // pass over the basis columns) is as good as fresh factors; only when
-      // the check fails is a rebuild + re-price needed. This keeps the warm
-      // consult loop -- whose every solve ends here -- factorization-free.
+      // the check fails is a rebuild + re-price needed, so a solve whose
+      // factors are healthy ends without one.
       if (use_sparse(opts) && W.pivots_since_factor > 0 &&
           dual_residual(sf, W) > opts.tols.refactor_residual) {
         if (!refactorize(sf, W, opts, &stats)) return PhaseOutcome::NumericalFailure;
@@ -478,13 +476,21 @@ PhaseOutcome run_phase(const StandardForm& sf, SolveWorkspace& W,
     // tied ratios (degenerate LPs tie dozens of rows at ratio 0, and a
     // noise-sized pivot there poisons the product-form eta file). The dense
     // path keeps the historical index tie-break.
+    //
+    // A basic column that may not enter -- an artificial phase 1 left basic
+    // at zero level, in phase 2 -- is pinned at zero: moving it either way
+    // breaks its original row. w_r > 0 already blocks it; w_r < 0 would let
+    // it grow, so such a row blocks too, at ratio 0. (The tableau instead
+    // pivots those artificials out after phase 1; blocking here changes
+    // nothing on the pivot paths that never grow one.)
     const bool prefer_magnitude = use_sparse(opts) && !bland;
     for (std::size_t r = 0; r < m; ++r) {
-      if (W.w[r] <= pivot_floor) continue;
-      const double ratio = W.xb[r] / W.w[r];
+      const bool pinned = W.w[r] < -pivot_floor && !W.allowed[W.basis[r]];
+      if (W.w[r] <= pivot_floor && !pinned) continue;
+      const double ratio = pinned ? 0.0 : W.xb[r] / W.w[r];
       bool better = ratio < best_ratio - opts.tol;
       if (!better && ratio < best_ratio + opts.tol && leave < m) {
-        better = prefer_magnitude ? W.w[r] > W.w[leave]
+        better = prefer_magnitude ? std::fabs(W.w[r]) > std::fabs(W.w[leave])
                                   : W.basis[r] < W.basis[leave];
       }
       if (better) {
@@ -500,8 +506,9 @@ PhaseOutcome run_phase(const StandardForm& sf, SolveWorkspace& W,
     // geometrically until the basis no longer factors (most cold LPSCALE
     // consults at n = 500 failed that way). Bland's termination proof
     // assumes exact arithmetic anyway; the per-phase iteration cap and the
-    // pipeline's tableau stage remain the backstop.
-    if (bland && leave < m) {
+    // pipeline's certification remain the backstop. A pinned row (negative
+    // pivot) keeps its pick: only it stops the artificial from growing.
+    if (bland && leave < m && W.w[leave] > 0.0) {
       double tied_max = 0.0;
       for (std::size_t r = 0; r < m; ++r)
         if (W.w[r] > pivot_floor && W.xb[r] / W.w[r] < best_ratio + opts.tol)
@@ -545,129 +552,6 @@ PhaseOutcome run_phase(const StandardForm& sf, SolveWorkspace& W,
   return PhaseOutcome::IterationLimit;
 }
 
-/// Bounded dual-simplex repair: the warm basis is dual feasible for the
-/// phase-2 cost (A and c are unchanged since it was optimal), so pivoting
-/// negative basic variables out restores primal feasibility while keeping
-/// optimality conditions. Returns false on any trouble (iteration bound,
-/// no eligible entering column, numerical failure) -- the caller then falls
-/// back to the cold two-phase start.
-bool warm_repair(const StandardForm& sf, SolveWorkspace& W, const SolverOptions& opts,
-                 std::uint64_t& iterations, SolveStats& stats) {
-  const std::size_t m = sf.rows();
-  const std::size_t n = sf.cols();
-  const std::uint64_t limit = 2 * static_cast<std::uint64_t>(m) + 16;
-  W.in_basis.assign(n, false);
-  for (std::size_t b : W.basis) W.in_basis[b] = true;
-
-  for (std::uint64_t it = 0; it < limit; ++it) {
-    if (W.pivots_since_factor >= RevisedSimplexSolver::kRefactorInterval) {
-      if (!refactorize(sf, W, opts, &stats)) return false;
-    }
-    // Most infeasible row leaves.
-    std::size_t leave = m;
-    double worst = -opts.tol;
-    for (std::size_t r = 0; r < m; ++r) {
-      if (W.xb[r] < worst) {
-        worst = W.xb[r];
-        leave = r;
-      }
-    }
-    if (leave == m) return true;  // primal feasible again
-
-    W.cb.assign(m, 0.0);
-    for (std::size_t r = 0; r < m; ++r) W.cb[r] = sf.c[W.basis[r]];
-    btran(sf, W, opts);
-
-    // Dual ratio test over the leaving row alpha_j = (B^-1)_leave . A_j.
-    // The sparse basis has no explicit inverse row; recover it as
-    // rho = B^-T e_leave through the transpose solve.
-    if (use_sparse(opts)) {
-      W.rho.assign(m, 0.0);
-      W.rho[leave] = 1.0;
-      W.slu.btran(W.rho);
-    }
-    const std::span<const double> rho =
-        use_sparse(opts) ? std::span<const double>(W.rho) : W.binv.row(leave);
-    std::size_t enter = n;
-    double best_ratio = std::numeric_limits<double>::infinity();
-    for (std::size_t j = 0; j < n; ++j) {
-      if (W.in_basis[j] || sf.is_artificial[j]) continue;
-      double alpha = 0.0;
-      for (std::size_t t = sf.col_start[j]; t < sf.col_start[j + 1]; ++t)
-        alpha += rho[sf.col_row[t]] * sf.col_val[t];
-      if (alpha >= -opts.tol) continue;
-      double d = reduced_cost(sf, W, sf.c, j);
-      if (d < 0.0) d = 0.0;  // tolerance dust; the basis was optimal
-      const double ratio = d / (-alpha);
-      if (ratio < best_ratio - opts.tol ||
-          (ratio < best_ratio + opts.tol && enter < n && j < enter)) {
-        best_ratio = ratio;
-        enter = j;
-      }
-    }
-    if (enter == n) return false;  // row cannot be repaired: let cold path decide
-
-    ftran(sf, W, opts, enter);
-    // Same column verification as run_phase: never commit a pivot from a
-    // drifted product-form solve (see tableau_column_residual).
-    if (use_sparse(opts) && W.pivots_since_factor > 0 &&
-        tableau_column_residual(sf, W, enter) > opts.tols.refactor_residual) {
-      ++stats.residual_refactorizations;
-      if (!refactorize(sf, W, opts, &stats)) return false;
-      ftran(sf, W, opts, enter);
-    }
-    if (std::fabs(W.w[leave]) <= opts.tol) return false;  // numerical mismatch
-    W.in_basis[W.basis[leave]] = false;
-    W.in_basis[enter] = true;
-    update(W, leave, enter, opts, stats);
-    ++iterations;
-  }
-  return false;
-}
-
-/// Re-seat the previous optimal basis against the rebuilt standard form.
-/// Returns true when the workspace is primal feasible and phase 1 can be
-/// skipped entirely.
-bool try_warm_start(const StandardForm& sf, SolveWorkspace& W, const SolverOptions& opts,
-                    std::uint64_t& iterations, SolveStats& stats) {
-  const std::size_t m = sf.rows();
-  if (W.warm_basis.size() != m) return false;
-  W.basis = W.warm_basis;
-  const bool factored = use_sparse(opts)
-                            ? (W.slu.factorized() && W.slu.dim() == m)
-                            : (W.binv.rows() == m && W.binv.cols() == m);
-  if (!factored || W.pivots_since_factor >= RevisedSimplexSolver::kRefactorInterval) {
-    if (!refactorize(sf, W, opts, &stats)) return false;
-  } else {
-    // The basis matrix is unchanged (same columns of the same A), so the
-    // retained factorization is still exact: only x_B = B^-1 b must be
-    // recomputed.
-    compute_xb(sf, W, opts);
-    // Self-heal a drifted (or corrupted) retained factorization: if the
-    // basic solution does not satisfy B x_B = b to tolerance, the cached
-    // factors are no longer trustworthy -- rebuild them from the basis
-    // before pricing a single column against them.
-    const double rel = xb_residual(sf, W);
-    stats.max_xb_residual = std::max(stats.max_xb_residual, rel);
-    if (rel > opts.tols.refactor_residual) {
-      ++stats.residual_refactorizations;
-      if (!refactorize(sf, W, opts, &stats)) return false;
-    }
-  }
-  double bnorm = 0.0;
-  for (std::size_t r = 0; r < m; ++r) bnorm = std::max(bnorm, std::fabs(sf.b[r]));
-  double min_xb = 0.0;
-  for (std::size_t r = 0; r < m; ++r) {
-    // A basic artificial pushed positive means an original row is violated
-    // at this basis; that needs phase 1, not repair.
-    if (sf.is_artificial[W.basis[r]] && W.xb[r] > scaled(opts.tols.artificial, bnorm))
-      return false;
-    min_xb = std::min(min_xb, W.xb[r]);
-  }
-  if (min_xb >= -opts.tol) return true;
-  return warm_repair(sf, W, opts, iterations, stats);
-}
-
 }  // namespace
 
 SolveResult RevisedSimplexSolver::solve(const Problem& p) const { return solve(p, nullptr); }
@@ -689,10 +573,8 @@ SolveResult RevisedSimplexSolver::solve(const Problem& p, SolveWorkspace* ws) co
 
   std::optional<SolveWorkspace> local;
   SolveWorkspace& W = ws ? *ws : local.emplace();
-  // rhs-only motion (the trace loop / allocator patch path) skips the full
-  // conversion: b is recomputed in O(m) from the cached offset dots and the
-  // matrix, costs, and fingerprint stay valid -- so the warm start below
-  // still engages.
+  // rhs-only motion (the allocator's repeated-support patch) skips the full
+  // conversion: b is recomputed in O(m) from the cached offset dots.
   if (!repatch_standard_form_rhs(p, W.sf)) rebuild_standard_form(p, W.sf);
   const StandardForm& sf = W.sf;
   const std::size_t m = sf.rows();
@@ -701,55 +583,43 @@ SolveResult RevisedSimplexSolver::solve(const Problem& p, SolveWorkspace* ws) co
   double bnorm = 0.0;
   for (std::size_t r = 0; r < m; ++r) bnorm = std::max(bnorm, std::fabs(sf.b[r]));
 
-  // Warm start only when the previous optimum used the exact same (A, c):
-  // the fingerprint keys on the matrix and objective, so bounds/rhs motion
-  // (the trace-loop perturbation) warms up while anything else cold-starts.
-  bool warmed = false;
-  if (ws && W.warm && W.warm_rows == m && W.warm_cols == n &&
-      W.warm_fingerprint == sf.fingerprint) {
-    W.warm = false;  // re-established only if this solve reaches optimality
-    warmed = try_warm_start(sf, W, opts_, res.iterations, res.stats);
-  } else if (ws) {
-    W.warm = false;
+  W.basis = sf.initial_basis;
+  if (!refactorize(sf, W, opts_, &res.stats)) {
+    // The initial slack/artificial basis is an identity; failure here would
+    // be a construction bug.
+    res.status = Status::Infeasible;
+    return res;
   }
 
-  if (!warmed) {
-    W.basis = sf.initial_basis;
-    if (!refactorize(sf, W, opts_, &res.stats)) {
-      // The initial slack/artificial basis is an identity; failure here would
-      // be a construction bug.
+  if (sf.has_artificials()) {
+    W.cost1.assign(n, 0.0);
+    for (std::size_t j = 0; j < n; ++j)
+      if (sf.is_artificial[j]) W.cost1[j] = 1.0;
+    W.allowed.assign(n, true);
+    const PhaseOutcome out = run_phase(sf, W, W.cost1, opts_, res.iterations, res.stats);
+    if (out == PhaseOutcome::IterationLimit || out == PhaseOutcome::NumericalFailure) {
+      res.status = Status::IterationLimit;
+      return res;
+    }
+    double art_sum = 0.0;
+    for (std::size_t r = 0; r < m; ++r)
+      if (sf.is_artificial[W.basis[r]]) art_sum += W.xb[r];
+    if (art_sum > scaled(opts_.tols.artificial, bnorm)) {
+      // Phase 1 ended at a positive artificial sum: the problem is
+      // infeasible, and the phase-1 duals y = c1_B' B^-1 are a Farkas
+      // certificate -- every real column has non-negative phase-1 reduced
+      // cost (y'A_j <= 0) while y'b equals the positive artificial sum.
+      W.cb.assign(m, 0.0);
+      for (std::size_t r = 0; r < m; ++r) W.cb[r] = W.cost1[W.basis[r]];
+      btran(sf, W, opts_);
+      res.farkas = W.y;
       res.status = Status::Infeasible;
       return res;
     }
-
-    if (sf.has_artificials()) {
-      W.cost1.assign(n, 0.0);
-      for (std::size_t j = 0; j < n; ++j)
-        if (sf.is_artificial[j]) W.cost1[j] = 1.0;
-      W.allowed.assign(n, true);
-      const PhaseOutcome out = run_phase(sf, W, W.cost1, opts_, res.iterations, res.stats);
-      if (out == PhaseOutcome::IterationLimit || out == PhaseOutcome::NumericalFailure) {
-        res.status = Status::IterationLimit;
-        return res;
-      }
-      double art_sum = 0.0;
-      for (std::size_t r = 0; r < m; ++r)
-        if (sf.is_artificial[W.basis[r]]) art_sum += W.xb[r];
-      if (art_sum > scaled(opts_.tols.artificial, bnorm)) {
-        // Phase 1 ended at a positive artificial sum: the problem is
-        // infeasible, and the phase-1 duals y = c1_B' B^-1 are a Farkas
-        // certificate -- every real column has non-negative phase-1 reduced
-        // cost (y'A_j <= 0) while y'b equals the positive artificial sum.
-        W.cb.assign(m, 0.0);
-        for (std::size_t r = 0; r < m; ++r) W.cb[r] = W.cost1[W.basis[r]];
-        btran(sf, W, opts_);
-        res.farkas = W.y;
-        res.status = Status::Infeasible;
-        return res;
-      }
-    }
   }
 
+  // Phase 2 bars artificials from entering. Those phase 1 left basic at zero
+  // level stay pinned there by the ratio test (see run_phase).
   W.allowed.assign(n, true);
   for (std::size_t j = 0; j < n; ++j)
     if (sf.is_artificial[j]) W.allowed[j] = false;
@@ -809,14 +679,6 @@ SolveResult RevisedSimplexSolver::solve(const Problem& p, SolveWorkspace* ws) co
     }
   }
   res.status = Status::Optimal;
-
-  if (ws) {
-    W.warm_basis = W.basis;
-    W.warm_rows = m;
-    W.warm_cols = n;
-    W.warm_fingerprint = sf.fingerprint;
-    W.warm = true;
-  }
   return res;
 }
 

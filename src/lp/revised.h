@@ -1,12 +1,13 @@
-// revised.h -- revised primal simplex with an explicitly maintained basis
-// inverse.
+// revised.h -- revised primal simplex over a factored basis (sparse LU, or
+// an explicit dense inverse under BasisRep::DenseInverse).
 //
 // Identical interface and semantics to SimplexSolver, but iterates on the
-// m x m basis inverse instead of the full tableau: pricing touches original
-// (sparse-ish) columns, so per-iteration work is O(m^2 + nnz) instead of
-// O(m * n). For agora's allocation LPs this wins once the full paper
-// formulation (n^2 + n + 1 variables) is used; the micro_lp bench quantifies
-// the difference.
+// factored m x m basis instead of the full tableau: pricing touches original
+// (sparse-ish) columns, so per-iteration work follows the factor and column
+// nonzeros instead of O(m * n). This is the production engine behind
+// lp::solve and lp::SolvePipeline; the micro_lp bench quantifies the
+// difference. Every solve is a cold two-phase solve from the slack/artificial
+// basis.
 #pragma once
 
 #include "lp/problem.h"
@@ -22,17 +23,10 @@ class RevisedSimplexSolver {
   /// One-shot cold solve.
   SolveResult solve(const Problem& p) const;
 
-  /// Amortized solve: `ws` (when non-null) supplies reusable scratch and the
-  /// previous optimal basis as a warm start. Contract: between calls that
-  /// share a workspace, only the problem's bounds and constraint rhs may
-  /// change -- a changed matrix or objective is detected via the
-  /// standard-form fingerprint and demoted to a cold start. Passing nullptr
-  /// is exactly the historical cold solve.
+  /// Amortized solve: `ws` (when non-null) supplies reusable scratch and
+  /// the standard-form rhs repatch (workspace.h). The answer is bit-identical
+  /// to the workspace-free solve.
   SolveResult solve(const Problem& p, SolveWorkspace* ws) const;
-
-  /// Refactorize the basis inverse from scratch every this many pivots to
-  /// bound numerical drift.
-  static constexpr std::uint64_t kRefactorInterval = 64;
 
  private:
   SolverOptions opts_;

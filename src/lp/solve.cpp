@@ -29,7 +29,7 @@ SolveResult solve_direct(const Problem& p, const SolveOptions& opts, SolveWorksp
 }  // namespace
 
 SolveResult solve(const Problem& p, const SolveOptions& opts, SolveWorkspace* ws) {
-  // Presolve is skipped for workspace solves (warm-start contract), for the
+  // Presolve is skipped for workspace solves (rhs-repatch contract), for the
   // brute-force oracle, and for empty problems the solvers decide in O(m).
   const bool presolvable = opts.presolve && ws == nullptr &&
                            opts.backend != Backend::BruteForce && p.num_variables() > 0;

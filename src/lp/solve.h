@@ -7,16 +7,18 @@
 // Callers pick a Backend instead of instantiating a concrete solver class;
 // the concrete implementations (SimplexSolver, RevisedSimplexSolver,
 // brute_force_solve) are an internal detail of src/lp and their headers are
-// not installed. SolveOptions also owns the presolve switch: by default a
-// workspace-free solve runs presolve -> reduced solve -> postsolve, with the
-// mapped result (primal, duals, objective) valid for -- and certifiable
-// against -- the ORIGINAL problem. Presolve is transparently skipped when it
-// cannot help or would break a stronger contract:
+// not installed. Revised is the production engine; Tableau and BruteForce
+// are independent test and bench oracles. SolveOptions also owns the
+// presolve switch: by default a workspace-free solve runs presolve ->
+// reduced solve -> postsolve, with the mapped result (primal, duals,
+// objective) valid for -- and certifiable against -- the ORIGINAL problem.
+// Presolve is transparently skipped when it cannot help or would break a
+// stronger contract:
 //
-//   * workspace solves never presolve: warm-start fingerprints and the rhs
-//     repatch key on the original matrix (the allocator's consults are
-//     workspace solves of a support model it already trimmed to the
-//     requester's reach, see alloc/support_model.h);
+//   * workspace solves never presolve: the rhs repatch keys on the original
+//     problem (the allocator's consults are workspace solves of a support
+//     model it already trimmed to the requester's reach, see
+//     alloc/support_model.h);
 //   * a non-Optimal reduced outcome (infeasible/unbounded/decided-
 //     infeasible) falls back to solving the original problem directly, so
 //     Farkas/ray certificates always refer to the caller's problem;
@@ -24,7 +26,7 @@
 //     solves the original directly.
 //
 // Production solves go through lp::SolvePipeline (solve_pipeline.h), which
-// runs the revised backend and keeps the tableau as its certified fallback.
+// runs the revised backend and certifies its answer.
 //
 // With `presolve = false` the call is bit-identical to invoking the chosen
 // concrete solver directly, which is exactly what the historical API did.
@@ -39,16 +41,12 @@
 
 namespace agora::lp {
 
-/// Refactorize the basis every this many pivots to bound numerical drift
-/// (shared by the periodic cadence, warm-start bookkeeping, and tests).
-inline constexpr std::uint64_t kRefactorInterval = 64;
-
 enum class Backend {
-  /// Revised simplex over a factored basis (sparse LU by default); the only
-  /// backend that accepts a SolveWorkspace for warm starts.
+  /// Revised simplex over a factored basis (sparse LU by default): the
+  /// production engine, and the only backend that uses a SolveWorkspace.
   Revised,
-  /// Dense two-phase tableau simplex: the simple, auditable reference, and
-  /// the solve pipeline's independent fallback stage.
+  /// Dense two-phase tableau simplex: the simple, auditable reference that
+  /// tests and benches check the revised engine against.
   Tableau,
   /// Exhaustive basic-solution enumeration: exact test oracle for tiny
   /// problems.
@@ -101,8 +99,9 @@ struct SolveOptions {
 };
 
 /// Solve `p` with the selected backend. `ws` (revised backend only) supplies
-/// reusable scratch and the previous optimal basis as a warm start; passing
-/// nullptr is a cold solve. See the file comment for the presolve contract.
+/// reusable scratch; every solve is cold, so the answer equals the
+/// workspace-free solve with presolve off. See the file comment for the
+/// presolve contract.
 SolveResult solve(const Problem& p, const SolveOptions& opts = {},
                   SolveWorkspace* ws = nullptr);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <string>
-#include <utility>
 
 #include "obs/timer.h"
 #include "util/error.h"
@@ -37,14 +36,13 @@ void accumulate(PipelineStats& into, const PipelineStats& from) {
   into.certified += from.certified;
   into.primal_only += from.primal_only;
   into.exhausted += from.exhausted;
-  into.max_fallback_depth = std::max(into.max_fallback_depth, from.max_fallback_depth);
   accumulate(into.solver, from.solver);
 }
 
 SolvePipeline::SolvePipeline(PipelineOptions opts)
     : opts_(opts), verifier_(opts.solve.tols) {
   AGORA_REQUIRE(opts_.solve.backend == Backend::Revised,
-                "the solve pipeline fixes each stage's engine; solve.backend must stay Revised");
+                "the solve pipeline runs the revised engine; solve.backend must stay Revised");
   // Resolve all metric handles up front; solve() then only bumps atomics.
   for (int i = 0; i < kPipelineStages; ++i) {
     const std::string prefix =
@@ -70,70 +68,35 @@ PipelineResult SolvePipeline::solve(const Problem& p, SolveWorkspace* ws) {
   obs::ScopedTimer solve_timer(obs_solve_seconds_);
   PipelineResult out;
 
-  std::uint64_t attempts_made = 0;
-  const int first = static_cast<int>(ws && ws->warm ? PipelineStage::WarmRevised
-                                                    : PipelineStage::ColdRevised);
-  for (int idx = first; idx < kPipelineStages; ++idx) {
-    const auto stage = static_cast<PipelineStage>(idx);
-    const double stage_start = obs::kEnabled ? obs::now_seconds() : 0.0;
-    SolveOptions stage_opts = opts_.solve;
-    stage_opts.backend = stage == PipelineStage::Tableau ? Backend::Tableau : Backend::Revised;
-    // Presolve only applies to the first attempt: a fallback is a
-    // cross-check, and checking through the same reductions that may have
-    // produced the bad answer would not be independent.
-    stage_opts.presolve = opts_.solve.presolve && attempts_made == 0;
-    // The revised stages share the workspace: scratch is reused and a
-    // certified optimum re-establishes the warm state. In the cold stage the
-    // warm flag is off (never set, or cleared below after a failed warm
-    // certification). The tableau ignores the workspace.
-    SolveResult r = lp::solve(p, stage_opts, ws);
-
-    ++stats_.attempts[idx];
-    ++attempts_made;
-    accumulate(stats_.solver, r.stats);
-    if constexpr (obs::kEnabled) {
-      stage_obs_[idx].attempts->inc();
-      stage_obs_[idx].seconds->observe(obs::now_seconds() - stage_start);
-    }
-
-    Certificate cert = verifier_.certify(p, r);
-    if (cert.certified) {
-      stats_.max_fallback_depth = std::max(stats_.max_fallback_depth, attempts_made - 1);
-      ++stats_.certified;
-      if (cert.primal_only) ++stats_.primal_only;
-      obs_certified_->inc();
-      obs_iterations_->observe(static_cast<double>(r.iterations));
-      opts_.sink.event(ordinal, obs::EventKind::LpSolveCertified, actor,
-                       static_cast<std::uint32_t>(idx),
-                       static_cast<double>(attempts_made - 1),
-                       static_cast<double>(r.iterations));
-      out.result = std::move(r);
-      out.certificate = cert;
-      out.stage = stage;
-      out.fallbacks = attempts_made - 1;
-      return out;
-    }
-
-    ++stats_.failures[idx];
-    stage_obs_[idx].failures->inc();
-    opts_.sink.event(ordinal, obs::EventKind::LpSolveFallback, actor,
-                     static_cast<std::uint32_t>(idx));
-    if (stage != PipelineStage::Tableau && ws) {
-      // The revised answer did not survive verification; do not let its
-      // basis seed the next solve.
-      ws->invalidate();
-    }
-    out.result = std::move(r);
-    out.certificate = cert;
+  constexpr int kStage = static_cast<int>(PipelineStage::ColdRevised);
+  const double stage_start = obs::kEnabled ? obs::now_seconds() : 0.0;
+  out.result = lp::solve(p, opts_.solve, ws);
+  ++stats_.attempts[kStage];
+  accumulate(stats_.solver, out.result.stats);
+  if constexpr (obs::kEnabled) {
+    stage_obs_[kStage].attempts->inc();
+    stage_obs_[kStage].seconds->observe(obs::now_seconds() - stage_start);
   }
 
+  out.certificate = verifier_.certify(p, out.result);
+  if (out.certificate.certified) {
+    ++stats_.certified;
+    if (out.certificate.primal_only) ++stats_.primal_only;
+    obs_certified_->inc();
+    obs_iterations_->observe(static_cast<double>(out.result.iterations));
+    opts_.sink.event(ordinal, obs::EventKind::LpSolveCertified, actor,
+                     static_cast<std::uint32_t>(kStage), 0.0,
+                     static_cast<double>(out.result.iterations));
+    out.stage = PipelineStage::ColdRevised;
+    return out;
+  }
+
+  ++stats_.failures[kStage];
+  stage_obs_[kStage].failures->inc();
   ++stats_.exhausted;
   obs_exhausted_->inc();
-  opts_.sink.event(ordinal, obs::EventKind::LpSolveExhausted, actor, 0,
-                   static_cast<double>(attempts_made));
-  stats_.max_fallback_depth = std::max(stats_.max_fallback_depth, attempts_made - 1);
+  opts_.sink.event(ordinal, obs::EventKind::LpSolveExhausted, actor);
   out.stage = PipelineStage::Exhausted;
-  out.fallbacks = attempts_made - 1;
   return out;
 }
 

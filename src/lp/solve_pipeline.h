@@ -1,23 +1,17 @@
-// solve_pipeline.h -- staged, self-verifying LP solve chain.
+// solve_pipeline.h -- the certified production LP solve.
 //
-// A single simplex implementation answering alone is a single point of
-// failure. The pipeline escalates through a fixed chain --
+// One revised-simplex solve (presolved unless the caller passes a
+// workspace, see solve.h), then lp::Verifier certifies the answer against
+// the ORIGINAL problem, using only the problem data. A certified answer is
+// returned as trustworthy; an uncertified one never is. The caller then gets
+// the attempt plus its rejection reason under PipelineStage::Exhausted, with
+// certified() == false, and enforcement layers map that to an explicit
+// conservative denial. The tableau and brute-force backends stay reachable
+// through lp::solve as independent test and bench oracles, not as fallback
+// stages: on every benchmark workload the revised answer certified on the
+// first attempt (DESIGN.md §9.1).
 //
-//     warm revised -> cold revised -> two-phase tableau
-//
-// where the warm stage runs only when the caller passes a workspace that
-// holds a previous optimal basis (alloc::Allocator invalidates its
-// workspace before every consult, so only tests reach that stage) -- and
-// after EVERY attempt asks lp::Verifier to certify the answer against the
-// original problem. The tableau is the one independent engine in the
-// chain: it shares no basis machinery with the revised solver, so it can
-// rescue an answer the revised solver got wrong. The first certified
-// answer wins; an uncertified answer is never returned as trustworthy.
-// When the whole chain is exhausted the caller gets the last attempt plus
-// its rejection reason, with certified() == false -- enforcement layers
-// map that to an explicit conservative denial.
-//
-// Per-stage telemetry (attempts, certification failures, fallback depth,
+// Telemetry (attempts, certification failures, exhausted solves,
 // accumulated solver health counters) is kept in PipelineStats so operators
 // can see degradation *before* it becomes wrong answers.
 #pragma once
@@ -34,18 +28,14 @@
 namespace agora::lp {
 
 enum class PipelineStage : int {
-  WarmRevised = 0,
-  ColdRevised = 1,
-  Tableau = 2,
-  Exhausted = 3,
+  ColdRevised = 0,
+  Exhausted = 1,
 };
-inline constexpr int kPipelineStages = 3;
+inline constexpr int kPipelineStages = 1;
 
 inline const char* to_string(PipelineStage s) {
   switch (s) {
-    case PipelineStage::WarmRevised: return "warm-revised";
     case PipelineStage::ColdRevised: return "cold-revised";
-    case PipelineStage::Tableau: return "tableau";
     case PipelineStage::Exhausted: return "exhausted";
   }
   return "unknown";
@@ -53,12 +43,9 @@ inline const char* to_string(PipelineStage s) {
 
 struct PipelineOptions {
   /// Solve knobs (presolve switch, basis representation, tolerances,
-  /// iteration caps) shared by the stages; the Verifier uses `solve.tols`
-  /// too. Each stage fixes its own engine, so `solve.backend` must stay
-  /// Backend::Revised (the default); the constructor rejects anything else.
-  /// Presolve only runs on the first attempt -- fallback stages solve the
-  /// original problem directly so the cross-check is independent of the
-  /// reductions too.
+  /// iteration caps); the Verifier uses `solve.tols` too. The pipeline is
+  /// the revised engine's, so `solve.backend` must stay Backend::Revised
+  /// (the default); the constructor rejects anything else.
   SolveOptions solve;
   /// Telemetry destination. Metric handles are resolved once at pipeline
   /// construction; the solve path itself never touches the registry map.
@@ -75,8 +62,7 @@ struct PipelineStats {
   std::uint64_t failures[kPipelineStages] = {};
   std::uint64_t certified = 0;     ///< solves that returned a certified answer
   std::uint64_t primal_only = 0;   ///< ... of which only primal-certified
-  std::uint64_t exhausted = 0;     ///< solves where no stage certified
-  std::uint64_t max_fallback_depth = 0;  ///< worst # of extra stages needed
+  std::uint64_t exhausted = 0;     ///< solves whose answer did not certify
   /// Solver health counters accumulated over every attempt.
   SolveStats solver;
 };
@@ -89,11 +75,11 @@ void accumulate(PipelineStats& into, const PipelineStats& from);
 struct PipelineResult {
   SolveResult result;
   Certificate certificate;
-  /// Stage that produced `result` (Exhausted when nothing certified; the
-  /// result is then the last attempt and certificate.reject says why it was
-  /// rejected).
+  /// Stage that produced `result` (Exhausted when it did not certify;
+  /// certificate.reject then says why it was rejected).
   PipelineStage stage = PipelineStage::Exhausted;
-  /// Stages tried beyond the first (0 on the happy path).
+  /// Stages tried beyond the first: always 0 with the one-stage chain, kept
+  /// so plan and simulator telemetry (`solver_fallbacks`) keep their shape.
   std::uint64_t fallbacks = 0;
 
   bool certified() const { return certificate.certified; }
@@ -103,11 +89,8 @@ class SolvePipeline {
  public:
   explicit SolvePipeline(PipelineOptions opts = {});
 
-  /// Run the chain. `ws` (optional) follows the RevisedSimplexSolver
-  /// workspace contract; the warm stage runs only when it holds a warm
-  /// basis. When a revised answer fails certification the workspace is
-  /// invalidated before the next stage, so a poisoned basis cannot survive
-  /// into later solves.
+  /// Solve and certify. `ws` (optional) follows the RevisedSimplexSolver
+  /// workspace contract: scratch and the rhs repatch, no presolve.
   PipelineResult solve(const Problem& p, SolveWorkspace* ws = nullptr);
 
   const PipelineStats& stats() const { return stats_; }

@@ -40,7 +40,7 @@
 //
 // The factorization is deterministic: identical input produces an identical
 // pivot order, so solves are reproducible bit for bit across runs (the
-// warm-start repeatability tests rely on this).
+// workspace-reuse and history-independence tests rely on this).
 #pragma once
 
 #include <cstddef>

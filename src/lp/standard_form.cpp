@@ -199,7 +199,7 @@ void rebuild_standard_form(const Problem& p, StandardForm& sf) {
   }
   AGORA_INVARIANT(next_aux == total, "auxiliary column accounting mismatch");
 
-  // --- 5. CSC mirror of A plus the (A, c, shape) fingerprint. -------------
+  // --- 5. CSC mirror of A. ------------------------------------------------
   sf.col_start.assign(total + 1, 0);
   for (std::size_t j = 0; j < total; ++j) {
     std::size_t nnz = 0;
@@ -210,7 +210,6 @@ void rebuild_standard_form(const Problem& p, StandardForm& sf) {
   const std::size_t nnz_total = sf.col_start[total];
   sf.col_row.assign(nnz_total, 0);
   sf.col_val.assign(nnz_total, 0.0);
-  double fp = static_cast<double>(m) * 1e6 + static_cast<double>(total) * 1e3;
   for (std::size_t j = 0; j < total; ++j) {
     std::size_t at = sf.col_start[j];
     for (std::size_t i = 0; i < m; ++i) {
@@ -219,12 +218,8 @@ void rebuild_standard_form(const Problem& p, StandardForm& sf) {
       sf.col_row[at] = i;
       sf.col_val[at] = v;
       ++at;
-      fp += v * (static_cast<double>(i + 1) * 0.5 + static_cast<double>(j + 1) * 1.25);
     }
   }
-  for (std::size_t j = 0; j < total; ++j)
-    fp += sf.c[j] * static_cast<double>(j + 1) * 1e-3;
-  sf.fingerprint = fp;
   sf.source_id = p.instance_id();
   sf.source_rev = p.structural_revision();
 }

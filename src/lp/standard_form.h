@@ -60,12 +60,6 @@ struct StandardForm {
   std::vector<std::size_t> col_row;    ///< nnz row indices.
   std::vector<double> col_val;         ///< nnz values.
 
-  /// Order-deterministic digest of (A, c, shape). Two standard forms with
-  /// equal fingerprints were built from problems with the same constraint
-  /// matrix and objective -- only b (rhs / bounds) may differ. Warm starts
-  /// key on this: a reused basis is only valid against an unchanged matrix.
-  double fingerprint = 0.0;
-
   /// Per original-constraint row: sum_j a_ij * offset_j, the bound-shift
   /// contribution folded into b at build time. Cached so an rhs-only change
   /// can recompute b[i] = |rhs_i - offset_dot[i]| in O(1) per row without
@@ -103,8 +97,7 @@ void rebuild_standard_form(const Problem& p, StandardForm& sf);
 /// (constraint rows from the cached offset dots, bound rows from the moved
 /// bounds), O(rows), and return true. Any mismatch returns false with sf.b
 /// possibly half-written; the caller must then rebuild_standard_form().
-/// A, c, and the fingerprint are untouched, so warm starts keyed on the
-/// fingerprint survive the patch.
+/// A and c are untouched.
 bool repatch_standard_form_rhs(const Problem& p, StandardForm& sf);
 
 /// Map a standard-form point y back to the original variable space.

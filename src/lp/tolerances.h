@@ -13,6 +13,8 @@
 // problems (norm ~ 1), so well-conditioned solves behave exactly as before.
 #pragma once
 
+#include <cstdint>
+
 namespace agora::lp {
 
 struct Tolerances {
@@ -48,6 +50,10 @@ struct Tolerances {
   /// Slack for Farkas (infeasibility) and ray (unboundedness) certificates.
   double farkas = 1e-7;
 };
+
+/// Refactorize the revised solver's basis every this many pivots to bound
+/// numerical drift (on top of the residual triggers above).
+inline constexpr std::uint64_t kRefactorInterval = 64;
 
 /// A relative threshold: `tol` scaled by the magnitude of what is measured.
 inline double scaled(double tol, double norm) { return tol * (1.0 + norm); }

@@ -1,17 +1,14 @@
-// workspace.h -- reusable solve context for the revised simplex.
+// workspace.h -- reusable scratch for the revised simplex.
 //
-// The trace-driven enforcement loop solves thousands of LPs whose *structure*
-// never changes: same constraint matrix A and objective c, with only bounds
-// and rhs moving between solves. A SolveWorkspace passed to
-// RevisedSimplexSolver::solve amortizes every per-solve allocation (the
-// standard-form conversion, the basis inverse, the pricing vectors) across
-// calls, and carries the previous optimal basis as a warm start: when the
-// matrix fingerprint matches, the solver re-uses the factorized basis
-// inverse, recomputes x_B = B^-1 b for the perturbed rhs, and either goes
-// straight to phase 2 (basis still primal feasible) or runs a bounded
-// dual-simplex repair (basis stays dual feasible because A and c are
-// unchanged). On any mismatch or repair failure it falls back to the cold
-// path, whose behavior is bit-for-bit identical to a workspace-free solve.
+// The enforcement loop solves thousands of small LPs back to back. A
+// SolveWorkspace passed to RevisedSimplexSolver::solve amortizes every
+// per-solve allocation (the standard-form conversion, the factored basis,
+// the pricing vectors) across calls. It also keeps the last standard form,
+// so a problem that only moved its rhs or bound values since the previous
+// solve is repatched in O(rows) instead of rebuilt
+// (repatch_standard_form_rhs). Nothing else carries over: every solve starts
+// cold from the slack/artificial basis, and its answer is bit-identical to
+// the workspace-free solve.
 //
 // A workspace is single-threaded state: share one per (solver, model)
 // pairing, never across concurrent solves.
@@ -28,14 +25,14 @@
 namespace agora::lp {
 
 struct SolveWorkspace {
-  // --- Amortized scratch: contents are meaningless between solves, but the
-  // heap blocks persist so steady-state solves allocate nothing. ----------
-  StandardForm sf;                  ///< standard-form rebuild target.
+  // Contents are meaningless between solves, but the heap blocks persist
+  // so steady-state solves allocate nothing.
+  StandardForm sf;                  ///< standard-form rebuild/repatch target.
   std::vector<std::size_t> basis;   ///< current basis, length m.
   SparseLu slu;                     ///< factored basis (BasisRep::SparseLu).
   Matrix binv;                      ///< m x m basis inverse (DenseInverse).
   Matrix bmat;                      ///< dense refactorization scratch.
-  std::vector<double> rho;          ///< B^-T e_r scratch (dual ratio test).
+  std::vector<double> rho;          ///< refinement correction scratch.
   std::vector<double> xb;           ///< current basic solution B^-1 b.
   std::vector<double> cb;           ///< basic cost gather.
   std::vector<double> y;            ///< btran output (simplex multipliers).
@@ -45,22 +42,9 @@ struct SolveWorkspace {
   std::vector<double> ysol;         ///< standard-form solution gather.
   std::vector<bool> in_basis;       ///< per-column basis membership.
   std::vector<bool> allowed;        ///< per-column entry permission.
-
-  // --- Warm-start state: persists across solves. When `warm` is true,
-  // (warm_basis, binv) describe the optimum of the previous solve and
-  // warm_fingerprint identifies the (A, c) it is valid for. -----------------
-  bool warm = false;
-  std::vector<std::size_t> warm_basis;
-  std::size_t warm_rows = 0;
-  std::size_t warm_cols = 0;
-  double warm_fingerprint = 0.0;
-  /// Elementary updates applied to binv since its last full refactorization,
-  /// accumulated *across* solves so drift stays bounded on long warm runs.
+  /// Basis updates since the last refactorization of this solve; counts
+  /// across the phase-1 -> phase-2 transition, where the eta file persists.
   std::uint64_t pivots_since_factor = 0;
-
-  /// Forget the warm-start state (the scratch stays allocated). Call when
-  /// the model structure is about to change.
-  void invalidate() { warm = false; }
 };
 
 }  // namespace agora::lp

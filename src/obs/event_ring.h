@@ -32,11 +32,10 @@ enum class EventKind : std::uint32_t {
   RequestDenied,         ///< actor=principal, a=amount (alloc denial / rms deadline)
   ConsultStarted,        ///< actor=proxy, a=overflow demand
   ConsultDegraded,       ///< actor=proxy, a=overflow kept local
-  // lp solve chain (time = solve ordinal)
+  // certified lp solve (time = solve ordinal)
   LpSolveStarted,        ///< actor=solve ordinal
-  LpSolveCertified,      ///< actor=solve ordinal, peer=stage, a=fallbacks, b=pivots
-  LpSolveFallback,       ///< actor=solve ordinal, peer=failed stage
-  LpSolveExhausted,      ///< actor=solve ordinal, a=stages tried
+  LpSolveCertified,      ///< actor=solve ordinal, peer=stage, b=pivots
+  LpSolveExhausted,      ///< actor=solve ordinal (the answer did not certify)
   // rms bus fault layer (time = bus virtual time)
   BusFaultDrop,          ///< actor=from, peer=to
   BusFaultDuplicate,     ///< actor=from, peer=to
@@ -65,7 +64,6 @@ inline const char* to_string(EventKind k) {
     case EventKind::ConsultDegraded: return "consult_degraded";
     case EventKind::LpSolveStarted: return "lp_solve_started";
     case EventKind::LpSolveCertified: return "lp_solve_certified";
-    case EventKind::LpSolveFallback: return "lp_solve_fallback";
     case EventKind::LpSolveExhausted: return "lp_solve_exhausted";
     case EventKind::BusFaultDrop: return "bus_fault_drop";
     case EventKind::BusFaultDuplicate: return "bus_fault_duplicate";

@@ -14,7 +14,7 @@
 //     verified (bench/micro_sim enabled vs compiled-out).
 //
 // Naming scheme: dot-separated lowercase path, `subsystem.object.metric`
-// (e.g. "lp.pipeline.stage.warm_revised.seconds"). Histograms that measure
+// (e.g. "lp.pipeline.stage.cold-revised.seconds"). Histograms that measure
 // wall-clock durations end in ".seconds"; virtual-time measurements end in
 // ".vt_seconds".
 #pragma once

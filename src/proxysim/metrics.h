@@ -55,7 +55,7 @@ struct SimMetrics {
   /// Certified-enforcement telemetry (LP scheme only; see lp::SolvePipeline).
   std::uint64_t certified_consults = 0;   ///< consults backed by a certificate
   std::uint64_t degraded_consults = 0;    ///< chain exhausted -> local-only
-  std::uint64_t solver_fallbacks = 0;     ///< extra solve stages across consults
+  std::uint64_t solver_fallbacks = 0;     ///< extra solve stages across consults (0)
 
   /// Structured trace of the run (admissions, redirections, consults, LP
   /// solve-chain progress), oldest first, in simulator virtual time.

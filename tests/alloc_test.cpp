@@ -180,14 +180,32 @@ TEST(Allocator, ExactModeFallsBackWithPartialShares) {
 }
 
 TEST(Allocator, RejectsABackendPreference) {
-  // The certified chain fixes its engines; a backend preference would only
-  // take effect with certify off, so both allocators refuse it outright.
+  // The certified solve runs the revised engine; a backend preference would
+  // only take effect with certify off, so both allocators refuse it outright.
   AgreementSystem sys(2);
   sys.capacity = {0.0, 10.0};
   AllocatorOptions opts;
   opts.solve.backend = lp::Backend::Tableau;
   EXPECT_THROW(Allocator(sys, opts), PreconditionError);
   EXPECT_THROW(HierarchicalAllocator(sys, {0, 1}, opts), PreconditionError);
+}
+
+TEST(Allocator, UncertifiedAnswerIsAConservativeDenial) {
+  // A one-pivot cap makes the revised engine stop at IterationLimit, so the
+  // pipeline has no certified answer. The allocator must deny -- not grant
+  // on an unchecked point, nor report the request as unfillable.
+  AgreementSystem sys(3);
+  sys.capacity = {2.0, 10.0, 10.0};
+  sys.relative(1, 0) = 0.5;
+  sys.relative(2, 0) = 0.5;
+  AllocatorOptions opts;
+  opts.solve.max_iterations = 1;
+  const Allocator alloc(sys, opts);
+  const AllocationPlan plan = alloc.allocate(0, 6.0);
+  EXPECT_FALSE(plan.certified);
+  EXPECT_EQ(plan.status, PlanStatus::Denied);
+  EXPECT_FALSE(plan.satisfied());
+  EXPECT_EQ(alloc.solver_stats()->exhausted, 1u);
 }
 
 TEST(Allocator, ColdConsultIterationsDoNotGrowWithRingSize) {

@@ -199,7 +199,7 @@ TEST(EngineCache, Threads1AllMissBitIdenticalToDirectAllocator) {
   EnforcementEngine engine(sys, opts);
   alloc::Allocator direct(sys, opts.alloc);
   // Every amount unique => every lookup misses => the full queue + worker +
-  // warm-started allocator path runs, and must match the direct path bit
+  // cold allocator path runs, and must match the direct path bit
   // for bit.
   for (int i = 0; i < 40; ++i) {
     const std::size_t a = static_cast<std::size_t>(i) % sys.size();

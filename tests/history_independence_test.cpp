@@ -7,6 +7,9 @@
 // an allocator's answer never depends on the consults, commits and releases
 // it saw before. These tests drive allocators through different histories
 // to the same state and require bit-identical plans for the same request.
+// What makes it hold: every LP solve starts cold from the slack basis, and
+// the solver workspace an allocator reuses carries scratch and the last
+// standard form, never a basis.
 #include <gtest/gtest.h>
 
 #include <span>

@@ -340,34 +340,52 @@ TEST(Pipeline, HappyPathCertifiesOnFirstStage) {
   EXPECT_EQ(pl.stats().certified, 1u);
 }
 
-TEST(Pipeline, TableauRescuesAnUncertifiedRevisedAnswer) {
-  // The chain without a warm workspace is presolved revised, then tableau.
-  // On this program the revised answer fails certification and the
-  // tableau's holds. This pins a known revised-solver defect: with or
-  // without presolve, on either basis representation, the revised engine
-  // returns a point that violates the equality row k01 d0 + d1 = amount and
-  // calls it optimal. Once that defect is fixed, this test should force the
-  // fallback with an injected corruption instead.
-  SolvePipeline pl;
+TEST(Pipeline, ExactModeProgramCertifiesOnTheRevisedEngine) {
+  // Regression: phase 1 leaves an artificial of the demand equality basic at
+  // zero level, and phase 2 used to let it grow, returning a point that
+  // violates k01 d0 + d1 = amount (with or without presolve, on either basis
+  // representation). The ratio test now pins such artificials at zero.
+  for (const bool presolve : {true, false}) {
+    for (const BasisRep basis : {BasisRep::SparseLu, BasisRep::DenseInverse}) {
+      PipelineOptions po;
+      po.solve.presolve = presolve;
+      po.solve.basis = basis;
+      SolvePipeline pl(po);
+      const PipelineResult pr = pl.solve(exact_mode_two_site());
+      ASSERT_TRUE(pr.certified()) << (pr.certificate.reject ? pr.certificate.reject : "")
+                                  << " presolve " << presolve << " " << to_string(basis);
+      EXPECT_EQ(pr.stage, PipelineStage::ColdRevised);
+      EXPECT_EQ(pr.fallbacks, 0u);
+      EXPECT_EQ(pl.stats().exhausted, 0u);
+      EXPECT_EQ(pl.stats().failures[static_cast<int>(PipelineStage::ColdRevised)], 0u);
+    }
+  }
+}
+
+TEST(Pipeline, UncertifiedAnswerIsExhausted) {
+  // Force the one stage to fail: with a one-pivot cap the revised engine
+  // stops at IterationLimit, which never certifies. The pipeline must say
+  // so -- Exhausted, uncertified, counted -- rather than pass the answer on.
+  PipelineOptions po;
+  po.solve.max_iterations = 1;
+  SolvePipeline pl(po);
   const PipelineResult pr = pl.solve(exact_mode_two_site());
-  ASSERT_TRUE(pr.certified()) << (pr.certificate.reject ? pr.certificate.reject : "");
-  EXPECT_EQ(pr.stage, PipelineStage::Tableau);
-  EXPECT_EQ(pr.fallbacks, 1u);
-  const auto stage = [](PipelineStage s) { return static_cast<int>(s); };
+  EXPECT_FALSE(pr.certified());
+  EXPECT_EQ(pr.stage, PipelineStage::Exhausted);
+  EXPECT_EQ(pr.result.status, Status::IterationLimit);
+  EXPECT_NE(pr.certificate.reject, nullptr);
+  const auto stage = static_cast<int>(PipelineStage::ColdRevised);
   const PipelineStats& st = pl.stats();
-  EXPECT_EQ(st.attempts[stage(PipelineStage::WarmRevised)], 0u);
-  EXPECT_EQ(st.attempts[stage(PipelineStage::ColdRevised)], 1u);
-  EXPECT_EQ(st.failures[stage(PipelineStage::ColdRevised)], 1u);
-  EXPECT_EQ(st.attempts[stage(PipelineStage::Tableau)], 1u);
-  EXPECT_EQ(st.failures[stage(PipelineStage::Tableau)], 0u);
-  EXPECT_EQ(st.certified, 1u);
-  EXPECT_EQ(st.exhausted, 0u);
-  EXPECT_EQ(st.max_fallback_depth, 1u);
+  EXPECT_EQ(st.solves, 1u);
+  EXPECT_EQ(st.attempts[stage], 1u);
+  EXPECT_EQ(st.failures[stage], 1u);
+  EXPECT_EQ(st.certified, 0u);
+  EXPECT_EQ(st.exhausted, 1u);
 }
 
 TEST(Pipeline, RejectsAnyBackendButRevised) {
-  // Each stage picks its own engine; a backend preference would be ignored,
-  // so the pipeline refuses one instead of silently dropping it.
+  // The pipeline is the revised engine's; a backend preference would be
+  // ignored, so the pipeline refuses one instead of silently dropping it.
   for (const Backend b : {Backend::Tableau, Backend::BruteForce}) {
     PipelineOptions po;
     po.solve.backend = b;
@@ -385,17 +403,18 @@ TEST(Pipeline, CertifiesInfeasibleAndUnboundedClaims) {
   EXPECT_EQ(unb.certificate.claim, Certificate::Claim::Unbounded);
 }
 
-TEST(Pipeline, WarmSolveReusesWorkspaceAndCertifies) {
+TEST(Pipeline, WorkspaceSolveCertifiesLikeAFreshOne) {
+  // A workspace solve skips presolve and repatches an rhs-only change, but
+  // is otherwise the cold solve: it certifies on the one stage and agrees
+  // with a workspace-free solve of the same problem.
   SolvePipeline pl;
   Problem p = classic_min();
   SolveWorkspace ws;
-  const PipelineResult first = pl.solve(p, &ws);
-  ASSERT_TRUE(first.certified());
-  EXPECT_TRUE(ws.warm);
+  ASSERT_TRUE(pl.solve(p, &ws).certified());
   p.set_rhs(0, 2.5);
   const PipelineResult second = pl.solve(p, &ws);
   EXPECT_TRUE(second.certified());
-  EXPECT_EQ(second.stage, PipelineStage::WarmRevised);
+  EXPECT_EQ(second.stage, PipelineStage::ColdRevised);
   EXPECT_NEAR(second.result.objective, pl.solve(p).result.objective, 1e-9);
 }
 

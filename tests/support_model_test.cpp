@@ -105,6 +105,35 @@ TEST(SupportModel, PlansMatchTheFullCompactModel) {
   EXPECT_GT(partial_support, consults / 2);
 }
 
+TEST(SupportModel, FullModelAtFullAvailabilityCertifiesOnTheRevisedEngine) {
+  // Regression: on PlansMatchTheFullCompactModel's system for seed 2, the
+  // FULL model of requester 1 asking for all it can get used to come back
+  // from the revised engine with theta = 0 and the demand row violated by
+  // the whole amount (a zero-level artificial grew in phase 2). It must
+  // certify on the one stage, presolved or as a workspace solve.
+  Pcg32 rng(2 * 7919);
+  const std::size_t n = 2 + rng.uniform_u32(11);
+  const alloc::Allocator al(random_system(rng, n));
+  const std::size_t a = 1;
+  const double amount = al.available_to(a);
+  ASSERT_GT(amount, 0.0);
+  const lp::Problem full = oracle::full_compact_model(al.system(), al.capacities(), a, amount);
+  lp::SolvePipeline pipeline;
+  lp::SolveWorkspace ws;
+  for (lp::SolveWorkspace* w : {static_cast<lp::SolveWorkspace*>(nullptr), &ws}) {
+    const lp::PipelineResult pr = pipeline.solve(full, w);
+    ASSERT_TRUE(pr.certified()) << (pr.certificate.reject ? pr.certificate.reject : "");
+    EXPECT_EQ(pr.stage, lp::PipelineStage::ColdRevised);
+    EXPECT_EQ(pr.fallbacks, 0u);
+    ASSERT_EQ(pr.result.status, lp::Status::Optimal);
+    EXPECT_LE(full.max_violation(pr.result.x), 1e-9);
+  }
+  EXPECT_EQ(pipeline.stats().exhausted, 0u);
+  const alloc::AllocationPlan plan = al.allocate(a, amount);
+  EXPECT_TRUE(plan.certified);
+  EXPECT_TRUE(plan.satisfied());
+}
+
 TEST(SupportModel, FullSupportIsBitIdenticalToTheFullModel) {
   // A complete graph gives every requester the full support and touches
   // every row, so the support model is the full model: the cold certified

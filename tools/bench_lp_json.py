@@ -10,7 +10,7 @@ type the benchmarks were compiled with (Google Benchmark's own context only
 knows its library's build type). For every benchmark we keep the iteration
 count, ns/solve (real time) and -- where the benchmark reports it --
 allocations and LP pivots per solve. micro_lp's LPSCALE sweep lines (one
-per n x backend x start configuration, plus the closing speedup_n100 line) are
+per n x backend x model configuration, plus the closing speedup_n100 line) are
 parsed into a "scaling" block, and the micro_certify line (CERTIFY
 overhead_pct=... certified_solves=... fallbacks=... uncertified_grants=...)
 into a "certify" block, so all acceptance metrics are recorded alongside
@@ -46,7 +46,7 @@ def parse_lpscale(path):
         text = f.read()
     points = []
     for m in re.finditer(
-        r"LPSCALE n=(\d+) backend=(\S+) start=(\S+) certified=(\d)"
+        r"LPSCALE n=(\d+) backend=(\S+) model=(\S+) certified=(\d)"
         r" consults_per_s=(\S+) iterations=(\d+) basis_nnz=(\d+) lu_nnz=(\d+)"
         r" fill_ratio=(\S+) refactorizations=(\d+) max_eta=(\d+)",
         text,
@@ -55,7 +55,7 @@ def parse_lpscale(path):
             {
                 "n": int(m.group(1)),
                 "backend": m.group(2),
-                "start": m.group(3),
+                "model": m.group(3),
                 "certified": bool(int(m.group(4))),
                 "consults_per_s": float(m.group(5)),
                 "iterations": int(m.group(6)),
@@ -96,7 +96,7 @@ def main(argv):
     lp_benches, context = load_benchmarks(argv[2])
     certify_benches, _ = load_benchmarks(argv[4])
     doc = {
-        "schema": "agora-bench-lp/5",
+        "schema": "agora-bench-lp/6",
         "build_type": argv[1],
         "num_cpus": context.get("num_cpus", 0),
         "benchmarks": lp_benches + certify_benches,

@@ -19,16 +19,18 @@ cmake --build build -j
 # ones most likely to hide lifetime bugs), the replicated-GRM suites
 # (rms_replica_test plus the tier2-chaos failover suite, whose crash/
 # partition/loss scenarios churn raft timers and snapshots) and the LP
-# certification, adversarial and sparse-basis suites (ill-conditioned
-# pivoting, deliberately corrupted workspaces, and the sparse LU's bucketed
-# pivot search / eta-file replay -- index-heavy code where out-of-bounds
-# reads and UB would hide). The sanitizer
+# certification, adversarial, sparse-basis and workspace-reuse suites
+# (ill-conditioned pivoting, one workspace reused across changing problem
+# shapes, and the sparse LU's bucketed pivot search / eta-file replay --
+# index-heavy code where out-of-bounds reads and UB would hide), plus the
+# allocator property sweep (every random system's exact and relaxed
+# consults through the certified solve). The sanitizer
 # build compiles with -ffp-contract=off so its floating-point results match
 # the tier-1 build bit for bit.
 cmake -B build-asan -S . -DAGORA_SANITIZE=ON
 cmake --build build-asan -j --target rms_test rms_chaos_test rms_replica_test \
   rms_failover_test fuzz_test lp_certify_test lp_adversarial_test lp_sparse_test \
-  engine_cache_test history_independence_test support_model_test \
+  lp_workspace_test alloc_property_test engine_cache_test history_independence_test support_model_test \
   engine_federation_test credit_conservation_test federation_chaos_test \
   net_frame_test net_service_test net_soak_test proxysim_test latency_test
 ./build-asan/tests/rms_test
@@ -39,6 +41,8 @@ cmake --build build-asan -j --target rms_test rms_chaos_test rms_replica_test \
 ./build-asan/tests/lp_certify_test
 ./build-asan/tests/lp_adversarial_test
 ./build-asan/tests/lp_sparse_test
+./build-asan/tests/lp_workspace_test
+./build-asan/tests/alloc_property_test
 ./build-asan/tests/engine_cache_test
 # Plans are a pure function of (snapshot, request): allocators with
 # different consult/commit/release histories, and a snapshot-restored GRM

@@ -124,6 +124,29 @@ alloc::AllocatorOptions sparse_bench_alloc_options() {
   return opts;
 }
 
+agree::AgreementSystem island_economy() {
+  const std::size_t n = kIslands * kPerIsland;
+  agree::AgreementSystem sys(n);
+  for (std::size_t i = 0; i < n; ++i)
+    sys.capacity[i] = 10.0 + static_cast<double>(i % kPerIsland);
+  for (std::size_t g = 0; g < kIslands; ++g)
+    for (std::size_t i = g * kPerIsland; i < (g + 1) * kPerIsland; ++i)
+      for (std::size_t j = g * kPerIsland; j < (g + 1) * kPerIsland; ++j)
+        if (i != j) sys.relative(i, j) = kIslandShare;
+  return sys;
+}
+
+agree::AgreementSystem bridged_economy() {
+  agree::AgreementSystem sys = island_economy();
+  for (std::size_t g = 0; g < kIslands; ++g) {
+    const std::size_t a = g * kPerIsland + (kPerIsland - 1);
+    const std::size_t b = ((g + 1) % kIslands) * kPerIsland;
+    sys.relative(a, b) = kBridgeShare;
+    sys.relative(b, a) = kBridgeShare;
+  }
+  return sys;
+}
+
 trace::Generator make_generator() {
   trace::GeneratorConfig cfg;
   cfg.peak_rate = kPeakRate;

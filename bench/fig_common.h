@@ -99,12 +99,31 @@ lp::Problem compact_allocation_lp(std::size_t n);
 /// neighbors up to ring distance 3 (Figure 13's distance-decayed shape, cut
 /// off so the matrix is genuinely sparse). Row density stays O(1) as n
 /// grows, which is what makes the n = 1000 LP tractable for the sparse
-/// basis and a stress case for the dense inverse.
+/// basis.
 agree::AgreementSystem banded_sharing_system(std::size_t n);
 
 /// Transitive options for the banded system: chains capped at 2 hops keep
 /// the entitlement matrix banded (width ~12) at any n.
 alloc::AllocatorOptions sparse_bench_alloc_options();
+
+// --- Shared engine fixtures (scale_shards, scale_hotpath) --------------------
+
+inline constexpr std::size_t kIslands = 8;
+inline constexpr std::size_t kPerIsland = 8;
+/// Share between every ordered pair inside one island.
+inline constexpr double kIslandShare = 0.2;
+/// Ring-bridge share joining the islands into one component: weak enough
+/// that the federated cut severs exactly the bridges, strong enough that
+/// border credits are worth granting.
+inline constexpr double kBridgeShare = 0.05;
+
+/// kIslands complete-graph sharing islands of kPerIsland participants each
+/// (capacity 10 + index within the island), no agreements across islands.
+agree::AgreementSystem island_economy();
+
+/// island_economy() joined into one component: the last member of each
+/// island and the first member of the next share kBridgeShare both ways.
+agree::AgreementSystem bridged_economy();
 
 /// Print the figure banner.
 void banner(const std::string& figure, const std::string& description);

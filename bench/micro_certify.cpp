@@ -1,33 +1,37 @@
-// micro_certify -- the measurement for certified enforcement: a
-// Figure-13-like consult sequence (256 spare-refresh + allocate consults
-// against 10 proxies with distance-decay agreements) run with solution
-// certification off (trust the solver) vs on (every LP answer re-verified
-// against the original problem, an uncertified one denied). Each consult
-// is a cold revised solve, so the overhead ratio is the certificate check
-// over a cold solve.
+// micro_certify -- the cost of certified enforcement: a Figure-13-like
+// consult sequence (256 spare-refresh + allocate consults against 10
+// proxies with distance-decay agreements), every LP answer verified against
+// the problem posed and an uncertified one denied. Each consult is one cold
+// revised solve followed by lp::Verifier, and the solve pipeline times both
+// inside the same consult: lp.pipeline.stage.cold-revised.seconds (the
+// solve) and lp.pipeline.certify.seconds (the certificate check). The
+// overhead is the ratio of the two histogram sums over the sequence, so it
+// is never the difference of two separately timed runs.
 //
-// main() runs an A/B timing pass (best-of-R over the full sequence, so
-// allocator construction and cache warmup are excluded) and prints one line
+// main() runs one untimed warm-up pass, then kPasses measured passes over
+// the sequence against a private metrics registry, and prints one line
 //
-//   CERTIFY overhead_pct=... certified_solves=... fallbacks=... uncertified_grants=...
+//   CERTIFY overhead_pct=... certified_solves=... fallbacks=...
+//     uncertified_grants=... solve_seconds=... certify_seconds=...
 //
-// consumed by tools/bench.sh into BENCH_lp.json. uncertified_grants must be
-// zero by construction: a satisfied plan without a certificate is the
-// failure mode certification exists to eliminate.
+// consumed by tools/bench.sh into BENCH_lp.json. It exits 1 when the
+// overhead exceeds kMaxOverheadPct, when a satisfied plan carries no
+// certificate, or when either histogram's count differs from the certified
+// solves -- the last stops a build with observability compiled out
+// (-DAGORA_OBS=OFF, no timings recorded) from passing vacuously.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <limits>
 #include <span>
 #include <vector>
 
 #include "agree/topology.h"
 #include "alloc/allocator.h"
-#include "fig_common.h"
+#include "obs/metrics.h"
+#include "obs/sink.h"
 #include "util/rng.h"
 
 namespace {
@@ -36,7 +40,8 @@ using namespace agora;
 
 constexpr std::size_t kProxies = 10;
 constexpr std::size_t kConsults = 256;
-constexpr int kReps = 30;
+constexpr int kPasses = 10;
+constexpr double kMaxOverheadPct = 10.0;
 
 struct Consult {
   std::vector<double> spare;
@@ -69,12 +74,6 @@ Scenario make_scenario() {
   return sc;
 }
 
-alloc::AllocatorOptions engine_opts(bool certify) {
-  alloc::AllocatorOptions opts;
-  opts.certify = certify;
-  return opts;
-}
-
 alloc::AllocationPlan consult(const alloc::Allocator& al, const Consult& c) {
   const double reachable = al.available_to(c.origin);
   const double x = std::min(c.overflow, reachable * (1.0 - 1e-9));
@@ -82,99 +81,33 @@ alloc::AllocationPlan consult(const alloc::Allocator& al, const Consult& c) {
 }
 
 struct SequenceOutcome {
-  double best_seconds = 0.0;
+  std::uint64_t consults = 0;
   std::uint64_t certified = 0;
   std::uint64_t fallbacks = 0;
   std::uint64_t uncertified_grants = 0;
   std::uint64_t satisfied = 0;
 };
 
-/// One untimed pass over the full consult sequence against a persistent
-/// allocator. `check`, when given, records the certification outcome of
-/// every plan.
-void outcome_pass(alloc::Allocator& al, const Scenario& sc, bool certify,
-                  SequenceOutcome* check) {
+/// One pass over the full consult sequence against a persistent allocator,
+/// recording the certification outcome of every plan.
+void run_pass(alloc::Allocator& al, const Scenario& sc, SequenceOutcome& out) {
   for (const Consult& c : sc.consults) {
     al.set_capacities(std::span<const double>(c.spare));
     const alloc::AllocationPlan plan = consult(al, c);
     benchmark::DoNotOptimize(plan.theta);
-    if (check) {
-      if (plan.certified) ++check->certified;
-      check->fallbacks += plan.solver_fallbacks;
-      if (plan.satisfied()) {
-        ++check->satisfied;
-        if (certify && !plan.certified) ++check->uncertified_grants;
-      }
+    ++out.consults;
+    if (plan.certified) ++out.certified;
+    out.fallbacks += plan.solver_fallbacks;
+    if (plan.satisfied()) {
+      ++out.satisfied;
+      if (!plan.certified) ++out.uncertified_grants;
     }
   }
 }
 
-/// Time `kChunk` consecutive consults starting at `begin`.
-double timed_chunk(alloc::Allocator& al, const Scenario& sc, std::size_t begin,
-                   std::size_t count) {
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::size_t i = begin; i < begin + count; ++i) {
-    const Consult& c = sc.consults[i];
-    al.set_capacities(std::span<const double>(c.spare));
-    const alloc::AllocationPlan plan = consult(al, c);
-    benchmark::DoNotOptimize(plan.theta);
-  }
-  const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(t1 - t0).count();
-}
-
-/// A/B-time the sequence with certification off vs on. This host's clock
-/// frequency wanders by up to ~20% on a sub-second scale, so any layout
-/// that runs one arm's work long before the other's (all off-passes then
-/// all on-passes, or even whole-sequence passes back to back) measures the
-/// drift, not the certification -- to the point of sometimes reporting
-/// negative overhead. Instead each rep walks the consult sequence in small
-/// chunks, timing the off arm and the on arm on the *same* chunk back to
-/// back, so both arms see the same frequency environment to within ~100 us.
-/// Best-of-kReps per arm; the first (untimed) passes pay model build and
-/// warmup for both.
-void run_ab(const Scenario& sc, SequenceOutcome& off, SequenceOutcome& on) {
-  constexpr std::size_t kChunk = 32;
-  constexpr std::size_t kChunks = kConsults / kChunk;
-  static_assert(kConsults % kChunk == 0);
-  alloc::Allocator al_off(sc.sys, engine_opts(false));
-  alloc::Allocator al_on(sc.sys, engine_opts(true));
-  outcome_pass(al_off, sc, false, nullptr);
-  outcome_pass(al_on, sc, true, &on);
-  // Per-chunk minima across reps: drift is slow relative to one off/on
-  // chunk pair, so the pair is an apples-to-apples sample, and taking the
-  // minimum per chunk *position* (rather than per whole rep) discards
-  // transient slowdowns independently for every position. Arm order within
-  // a pair alternates per rep to cancel any warmer-second-arm bias.
-  double best_off[kChunks], best_on[kChunks];
-  std::fill(best_off, best_off + kChunks, std::numeric_limits<double>::infinity());
-  std::fill(best_on, best_on + kChunks, std::numeric_limits<double>::infinity());
-  for (int rep = 0; rep < kReps; ++rep) {
-    for (std::size_t ci = 0; ci < kChunks; ++ci) {
-      const std::size_t begin = ci * kChunk;
-      double t_off, t_on;
-      if (rep % 2 == 0) {
-        t_off = timed_chunk(al_off, sc, begin, kChunk);
-        t_on = timed_chunk(al_on, sc, begin, kChunk);
-      } else {
-        t_on = timed_chunk(al_on, sc, begin, kChunk);
-        t_off = timed_chunk(al_off, sc, begin, kChunk);
-      }
-      best_off[ci] = std::min(best_off[ci], t_off);
-      best_on[ci] = std::min(best_on[ci], t_on);
-    }
-  }
-  off.best_seconds = 0.0;
-  on.best_seconds = 0.0;
-  for (std::size_t ci = 0; ci < kChunks; ++ci) {
-    off.best_seconds += best_off[ci];
-    on.best_seconds += best_on[ci];
-  }
-}
-
-void bench_sequence(benchmark::State& state, bool certify) {
+void BM_CertifiedConsult(benchmark::State& state) {
   const Scenario sc = make_scenario();
-  alloc::Allocator al(sc.sys, engine_opts(certify));
+  alloc::Allocator al(sc.sys);
   std::size_t step = 0;
   for (auto _ : state) {
     const Consult& c = sc.consults[step++ % sc.consults.size()];
@@ -183,34 +116,53 @@ void bench_sequence(benchmark::State& state, bool certify) {
     benchmark::DoNotOptimize(plan.theta);
   }
 }
-
-void BM_UncertifiedConsult(benchmark::State& state) { bench_sequence(state, false); }
-BENCHMARK(BM_UncertifiedConsult);
-
-void BM_CertifiedConsult(benchmark::State& state) { bench_sequence(state, true); }
 BENCHMARK(BM_CertifiedConsult);
 
 bool verify_and_summarize() {
   const Scenario sc = make_scenario();
-  SequenceOutcome off, on;
-  run_ab(sc, off, on);
-  const double overhead_pct =
-      off.best_seconds > 0.0 ? (on.best_seconds / off.best_seconds - 1.0) * 100.0 : 0.0;
+  obs::MetricsRegistry registry;
+  alloc::AllocatorOptions opts;
+  opts.sink = obs::Sink{&registry, nullptr};
+  alloc::Allocator al(sc.sys, opts);
+  SequenceOutcome warm, out;
+  run_pass(al, sc, warm);  // model build and first-touch costs stay out
+  registry.reset();
+  for (int pass = 0; pass < kPasses; ++pass) run_pass(al, sc, out);
+
+  const obs::LogHistogram& solve = registry.histogram("lp.pipeline.stage.cold-revised.seconds");
+  const obs::LogHistogram& certify = registry.histogram("lp.pipeline.certify.seconds");
+  const double overhead_pct = solve.sum() > 0.0 ? certify.sum() / solve.sum() * 100.0 : 0.0;
   std::printf(
-      "CERTIFY overhead_pct=%.2f certified_solves=%llu fallbacks=%llu uncertified_grants=%llu\n",
-      overhead_pct, static_cast<unsigned long long>(on.certified),
-      static_cast<unsigned long long>(on.fallbacks),
-      static_cast<unsigned long long>(on.uncertified_grants));
-  if (on.uncertified_grants != 0) {
+      "CERTIFY overhead_pct=%.2f certified_solves=%llu fallbacks=%llu uncertified_grants=%llu "
+      "solve_seconds=%.6f certify_seconds=%.6f\n",
+      overhead_pct, static_cast<unsigned long long>(out.certified),
+      static_cast<unsigned long long>(out.fallbacks),
+      static_cast<unsigned long long>(out.uncertified_grants), solve.sum(), certify.sum());
+  bool ok = true;
+  if (out.uncertified_grants != 0) {
     std::fprintf(stderr, "FATAL: %llu satisfied plans carried no certificate\n",
-                 static_cast<unsigned long long>(on.uncertified_grants));
-    return false;
+                 static_cast<unsigned long long>(out.uncertified_grants));
+    ok = false;
   }
-  if (on.satisfied > 0 && on.certified == 0) {
+  if (out.satisfied > 0 && out.certified == 0) {
     std::fprintf(stderr, "FATAL: certification produced zero certificates\n");
-    return false;
+    ok = false;
   }
-  return true;
+  if (solve.count() != out.certified || certify.count() != out.certified) {
+    std::fprintf(stderr,
+                 "GATE: timed %llu solves and %llu certifications for %llu certified "
+                 "consults (observability compiled out?)\n",
+                 static_cast<unsigned long long>(solve.count()),
+                 static_cast<unsigned long long>(certify.count()),
+                 static_cast<unsigned long long>(out.certified));
+    ok = false;
+  }
+  if (overhead_pct > kMaxOverheadPct) {
+    std::fprintf(stderr, "GATE: certification overhead %.2f%% exceeds %.0f%%\n", overhead_pct,
+                 kMaxOverheadPct);
+    ok = false;
+  }
+  return ok;
 }
 
 }  // namespace

@@ -1,27 +1,21 @@
 // scale_hotpath -- admission hot-path sweep for the EnforcementEngine
 // (DESIGN.md §13): the same 64-participant, 8-island economy as
 // scale_shards, held at 8 worker shards, driven by a Zipf(s=1.1) request
-// mix over a 512-shape catalog, measured in three configurations:
+// mix over a 512-shape catalog, measured in two configurations:
 //
-//   * baseline       -- PR5 engine: every consult queues to a shard worker
-//                       and solves (cold) in the LP,
-//   * fastpath       -- the theta<=1 allocator fast path alone: consults
-//                       still queue to a worker, but trivially-feasible
-//                       requests skip the simplex (certified residual
-//                       check instead),
-//   * cache          -- epoch-keyed plan cache in front of the queues; hits
-//                       are re-certified against the live snapshot and
-//                       answered in the caller's thread,
-//   * cache_fastpath -- both: hot shapes hit the cache, cold shapes skip
-//                       the simplex when trivially feasible.
+//   * baseline -- every consult queues to a shard worker and solves (cold)
+//                 in the LP,
+//   * cache    -- epoch-keyed plan cache in front of the queues; hits are
+//                 re-certified against the live snapshot and answered in
+//                 the caller's thread.
 //
 // The driver is SERIAL blocking consult() on purpose: the hot path's win is
 // that a hit never touches a queue, a worker, or the LP, and a serial
 // driver measures exactly that per-consult cost. Pipelined submit() waves
 // would let queue parallelism mask it.
 //
-// The sweep asserts the PR7 safety acceptance inline: every grant, cached
-// or not, must carry a certificate (the binary exits non-zero otherwise).
+// The sweep asserts the safety invariant inline: every grant, cached or
+// not, must carry a certificate (the binary exits non-zero otherwise).
 //
 // Usage: scale_hotpath [out.json]   (default BENCH_hotpath.json)
 #include <chrono>
@@ -30,30 +24,19 @@
 #include <vector>
 
 #include "engine/engine.h"
+#include "fig_common.h"
 #include "trace/zipf.h"
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
+using agora::figbench::kIslands;
+using agora::figbench::kIslandShare;
+using agora::figbench::kPerIsland;
 
-constexpr std::size_t kIslands = 8;
-constexpr std::size_t kPerIsland = 8;
-constexpr double kShare = 0.2;
 constexpr std::size_t kThreads = 8;
 constexpr double kZipfS = 1.1;
 constexpr std::size_t kShapes = 512;
-
-agora::agree::AgreementSystem island_economy() {
-  const std::size_t n = kIslands * kPerIsland;
-  agora::agree::AgreementSystem sys(n);
-  for (std::size_t i = 0; i < n; ++i)
-    sys.capacity[i] = 10.0 + static_cast<double>(i % kPerIsland);
-  for (std::size_t g = 0; g < kIslands; ++g)
-    for (std::size_t i = g * kPerIsland; i < (g + 1) * kPerIsland; ++i)
-      for (std::size_t j = g * kPerIsland; j < (g + 1) * kPerIsland; ++j)
-        if (i != j) sys.relative(i, j) = kShare;
-  return sys;
-}
 
 struct PhaseResult {
   std::string name;
@@ -61,17 +44,15 @@ struct PhaseResult {
   std::uint64_t uncertified = 0;  ///< satisfied grants without a certificate
   double consults_per_sec = 0.0;
   double cache_hit_rate = 0.0;   ///< hits / consults
-  double fastpath_share = 0.0;   ///< fast-path grants / consults
   std::uint64_t cache_stale = 0;
   std::uint64_t cache_rejects = 0;
 };
 
 PhaseResult measure(const agora::agree::AgreementSystem& sys, const std::string& name,
-                    bool plan_cache, bool fast_path) {
+                    bool plan_cache) {
   agora::engine::EngineOptions opts;
   opts.threads = kThreads;
   opts.plan_cache = plan_cache;
-  opts.alloc.fast_path = fast_path;
   opts.sink = agora::obs::Sink::none();
   opts.alloc.sink = agora::obs::Sink::none();
   agora::engine::EnforcementEngine eng(sys, opts);
@@ -111,8 +92,6 @@ PhaseResult measure(const agora::agree::AgreementSystem& sys, const std::string&
   const std::uint64_t served_hits = (st.plan_cache.hits - st.plan_cache.certify_rejects) -
                                     (warm.plan_cache.hits - warm.plan_cache.certify_rejects);
   r.cache_hit_rate = static_cast<double>(served_hits) / total;
-  r.fastpath_share =
-      static_cast<double>(st.fastpath_granted - warm.fastpath_granted) / total;
   r.cache_stale = st.plan_cache.stale;
   r.cache_rejects = st.plan_cache.certify_rejects;
   return r;
@@ -122,27 +101,20 @@ PhaseResult measure(const agora::agree::AgreementSystem& sys, const std::string&
 
 int main(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_hotpath.json";
-  const agora::agree::AgreementSystem sys = island_economy();
+  const agora::agree::AgreementSystem sys = agora::figbench::island_economy();
 
   std::vector<PhaseResult> phases;
-  phases.push_back(measure(sys, "baseline", /*plan_cache=*/false, /*fast_path=*/false));
-  phases.push_back(measure(sys, "fastpath", /*plan_cache=*/false, /*fast_path=*/true));
-  phases.push_back(measure(sys, "cache", /*plan_cache=*/true, /*fast_path=*/false));
-  phases.push_back(measure(sys, "cache_fastpath", /*plan_cache=*/true, /*fast_path=*/true));
+  phases.push_back(measure(sys, "baseline", /*plan_cache=*/false));
+  phases.push_back(measure(sys, "cache", /*plan_cache=*/true));
 
   std::uint64_t uncertified = 0;
   for (const PhaseResult& r : phases) {
-    std::printf("%-15s %12.0f consults/s  hit-rate %5.1f%%  fast-path %5.1f%%\n",
-                r.name.c_str(), r.consults_per_sec, 100.0 * r.cache_hit_rate,
-                100.0 * r.fastpath_share);
+    std::printf("%-15s %12.0f consults/s  hit-rate %5.1f%%\n", r.name.c_str(),
+                r.consults_per_sec, 100.0 * r.cache_hit_rate);
     uncertified += r.uncertified;
   }
-  const double base = phases.front().consults_per_sec;
-  const double speedup_fast = phases[1].consults_per_sec / base;
-  const double speedup_cache = phases[2].consults_per_sec / base;
-  const double speedup_full = phases[3].consults_per_sec / base;
-  std::printf("speedup vs baseline: fastpath %.1fx, cache %.1fx, cache+fastpath %.1fx\n",
-              speedup_fast, speedup_cache, speedup_full);
+  const double speedup_cache = phases[1].consults_per_sec / phases[0].consults_per_sec;
+  std::printf("speedup vs baseline: cache %.1fx\n", speedup_cache);
   if (uncertified != 0) {
     std::fprintf(stderr, "scale_hotpath: %llu UNCERTIFIED GRANTS -- invariant broken\n",
                  static_cast<unsigned long long>(uncertified));
@@ -158,7 +130,7 @@ int main(int argc, char** argv) {
   std::fprintf(f,
                "  \"economy\": {\"participants\": %zu, \"islands\": %zu, "
                "\"per_island\": %zu, \"share\": %.2f},\n",
-               kIslands * kPerIsland, kIslands, kPerIsland, kShare);
+               kIslands * kPerIsland, kIslands, kPerIsland, kIslandShare);
   std::fprintf(f,
                "  \"workload\": {\"zipf_s\": %.2f, \"shapes\": %zu, \"threads\": %zu, "
                "\"driver\": \"serial_blocking_consult\"},\n",
@@ -168,20 +140,18 @@ int main(int argc, char** argv) {
     const PhaseResult& r = phases[i];
     std::fprintf(f,
                  "    {\"name\": \"%s\", \"consults\": %llu, \"consults_per_sec\": %.1f, "
-                 "\"cache_hit_rate\": %.4f, \"fastpath_share\": %.4f, "
+                 "\"cache_hit_rate\": %.4f, "
                  "\"cache_stale\": %llu, \"cache_certify_rejects\": %llu, "
                  "\"uncertified_grants\": %llu}%s\n",
                  r.name.c_str(), static_cast<unsigned long long>(r.consults),
-                 r.consults_per_sec, r.cache_hit_rate, r.fastpath_share,
+                 r.consults_per_sec, r.cache_hit_rate,
                  static_cast<unsigned long long>(r.cache_stale),
                  static_cast<unsigned long long>(r.cache_rejects),
                  static_cast<unsigned long long>(r.uncertified),
                  i + 1 < phases.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"speedup_fastpath_vs_baseline\": %.3f,\n", speedup_fast);
   std::fprintf(f, "  \"speedup_cache_vs_baseline\": %.3f,\n", speedup_cache);
-  std::fprintf(f, "  \"speedup_cache_fastpath_vs_baseline\": %.3f,\n", speedup_full);
   std::fprintf(f, "  \"certified_grant_pct\": 100.0\n}\n");
   std::fclose(f);
   std::printf("scale_hotpath: wrote %s\n", out_path.c_str());

@@ -32,43 +32,19 @@
 #include <vector>
 
 #include "engine/engine.h"
+#include "fig_common.h"
 #include "util/rng.h"
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
 
-constexpr std::size_t kIslands = 8;
-constexpr std::size_t kPerIsland = 8;
-constexpr double kShare = 0.2;
-
-agora::agree::AgreementSystem island_economy() {
-  const std::size_t n = kIslands * kPerIsland;
-  agora::agree::AgreementSystem sys(n);
-  for (std::size_t i = 0; i < n; ++i)
-    sys.capacity[i] = 10.0 + static_cast<double>(i % kPerIsland);
-  for (std::size_t g = 0; g < kIslands; ++g)
-    for (std::size_t i = g * kPerIsland; i < (g + 1) * kPerIsland; ++i)
-      for (std::size_t j = g * kPerIsland; j < (g + 1) * kPerIsland; ++j)
-        if (i != j) sys.relative(i, j) = kShare;
-  return sys;
-}
-
-/// Ring-bridge share joining the islands into one component: weak enough
-/// that the federated cut severs exactly the bridges, strong enough that
-/// border credits are worth granting.
-constexpr double kBridgeShare = 0.05;
-
-agora::agree::AgreementSystem bridged_economy() {
-  agora::agree::AgreementSystem sys = island_economy();
-  for (std::size_t g = 0; g < kIslands; ++g) {
-    const std::size_t a = g * kPerIsland + (kPerIsland - 1);
-    const std::size_t b = ((g + 1) % kIslands) * kPerIsland;
-    sys.relative(a, b) = kBridgeShare;
-    sys.relative(b, a) = kBridgeShare;
-  }
-  return sys;
-}
+using agora::figbench::bridged_economy;
+using agora::figbench::island_economy;
+using agora::figbench::kBridgeShare;
+using agora::figbench::kIslands;
+using agora::figbench::kIslandShare;
+using agora::figbench::kPerIsland;
 
 struct SweepPoint {
   std::size_t threads = 0;
@@ -287,7 +263,7 @@ int main(int argc, char** argv) {
   std::fprintf(f,
                "  \"economy\": {\"participants\": %zu, \"islands\": %zu, "
                "\"per_island\": %zu, \"share\": %.2f},\n",
-               kIslands * kPerIsland, kIslands, kPerIsland, kShare);
+               kIslands * kPerIsland, kIslands, kPerIsland, kIslandShare);
   std::fprintf(f, "  \"p99_bound_us\": %.1f,\n", kP99BoundUs);
   std::fprintf(f, "  \"sweep\": [\n");
   for (std::size_t i = 0; i < sweep.size(); ++i) {

@@ -32,7 +32,10 @@
 //     hierarchical) and capacity/entitlement reports.
 //   * Allocation       -- alloc::AllocatorBase (the interface), the flat
 //     LP Allocator, the two-level HierarchicalAllocator, and
-//     AllocationPlan/PlanStatus.
+//     AllocationPlan/PlanStatus. Every consult has one configuration: the
+//     requester's support model, solved cold and certified; AllocatorOptions
+//     sets only the transitivity level, LP tolerances and the telemetry
+//     sink.
 //   * Enforcement at scale -- engine::EnforcementEngine: sharded,
 //     thread-safe admission (blocking consult(), future-based submit(),
 //     epoch-versioned capacity snapshots).

@@ -3,15 +3,11 @@
 #include <algorithm>
 #include <cmath>
 
-#include "lp/model_builder.h"
-#include "lp/solve.h"
 #include "obs/timer.h"
 
 namespace agora::alloc {
 
 namespace {
-constexpr double kFeasTol = 1e-9;
-
 lp::PipelineOptions pipeline_options(const AllocatorOptions& opts) {
   lp::PipelineOptions po;
   po.solve = opts.solve;
@@ -23,8 +19,7 @@ lp::PipelineOptions pipeline_options(const AllocatorOptions& opts) {
 Allocator::Allocator(agree::AgreementSystem sys, AllocatorOptions opts)
     : sys_(std::move(sys)),
       opts_(opts),
-      pipeline_(pipeline_options(opts)),
-      verifier_(opts.solve.tols) {
+      pipeline_(pipeline_options(opts)) {
   sys_.validate(/*allow_overdraft=*/true);
   obs_plan_seconds_ = &opts_.sink.histogram("alloc.plan.seconds");
   obs_clamp_k_ = &opts_.sink.counter("alloc.clamp.overdraft_k");
@@ -33,8 +28,6 @@ Allocator::Allocator(agree::AgreementSystem sys, AllocatorOptions opts)
   obs_plans_insufficient_ = &opts_.sink.counter("alloc.plans.insufficient");
   obs_plans_denied_ = &opts_.sink.counter("alloc.plans.denied");
   obs_plans_failed_ = &opts_.sink.counter("alloc.plans.solver_failed");
-  obs_fastpath_granted_ = &opts_.sink.counter("alloc.fastpath.granted");
-  obs_fastpath_fallthrough_ = &opts_.sink.counter("alloc.fastpath.fallthrough");
   // The expensive part (simple-path enumeration) depends only on S; do it
   // once and keep the K matrix cached across capacity updates.
   Matrix t = agree::transitive_shares(sys_.relative, opts_.transitive);
@@ -72,42 +65,12 @@ void Allocator::refresh_availability() {
   }
 }
 
-lp::SolveResult Allocator::run_solver(const lp::Problem& p) const {
-  return lp::solve(p, opts_.solve);
-}
-
-lp::SolveResult Allocator::run_certified(const lp::Problem& p, lp::SolveWorkspace* ws,
-                                         AllocationPlan& plan) const {
-  lp::PipelineResult pr = pipeline_.solve(p, ws);
-  plan.certified = pr.certified();
-  plan.solver_fallbacks = pr.fallbacks;
-  return std::move(pr.result);
-}
-
 AllocationPlan Allocator::allocate(std::size_t a, double amount) const {
   AGORA_REQUIRE(a < sys_.size(), "unknown principal");
   AGORA_REQUIRE(amount >= 0.0 && std::isfinite(amount), "request must be non-negative");
 
   obs::ScopedTimer plan_timer(obs_plan_seconds_);
-  const bool exact = opts_.equality == EqualityMode::Exact;
-  if (opts_.fast_path && !exact && opts_.formulation == Formulation::Compact) {
-    AllocationPlan fast;
-    if (try_fast_path(a, amount, fast)) {
-      if constexpr (obs::kEnabled) obs_plans_satisfied_->inc();
-      return fast;
-    }
-  }
-  AllocationPlan plan = opts_.formulation == Formulation::Compact
-                            ? solve_compact(a, amount, exact)
-                            : solve_full(a, amount, exact);
-  if (exact && plan.status == PlanStatus::Insufficient &&
-      report_.capacity[a] >= amount - kFeasTol) {
-    // Constraint (3) made the paper-exact program infeasible even though
-    // capacity suffices; fall back to the relaxed model (see DESIGN.md).
-    plan = opts_.formulation == Formulation::Compact ? solve_compact(a, amount, false)
-                                                     : solve_full(a, amount, false);
-    plan.exact_mode_fell_back = true;
-  }
+  AllocationPlan plan = solve_support(a, amount);
   if constexpr (obs::kEnabled) {
     switch (plan.status) {
       case PlanStatus::Satisfied: obs_plans_satisfied_->inc(); break;
@@ -119,125 +82,27 @@ AllocationPlan Allocator::allocate(std::size_t a, double amount) const {
   return plan;
 }
 
-bool Allocator::try_fast_path(std::size_t a, double amount, AllocationPlan& plan) const {
-  const std::size_t n = sys_.size();
-  // Self-draw feasibility test: d = amount * e_a respects its bound exactly
-  // when the amount fits inside the requester's retained entitlement U_aa.
-  if (amount > report_.entitlement(a, a)) {
-    fastpath_fallthrough_.inc();
-    if constexpr (obs::kEnabled) obs_fastpath_fallthrough_->inc();
-    return false;
-  }
-
-  // theta for the self-draw plan: the drop at i is amount * That_ai with
-  // That_aa = retained_a and That_ai = K_ai, every coefficient <= 1 (clamped
-  // transitive shares, retained in [0,1]), hence "theta <= 1 per unit" --
-  // the perturbation never exceeds the request itself.
-  double maxcoeff = sys_.retained[a];
-  const double* row = report_.shares.row(a).data();
-  for (std::size_t i = 0; i < n; ++i)
-    if (i != a && row[i] > maxcoeff) maxcoeff = row[i];
-  const double theta = amount * maxcoeff;
-
-  // Certify admission against the support model of this request -- the
-  // same problem the LP would have solved -- so a grant from this path
-  // carries the same "independently verified against the problem data"
-  // guarantee as a pipeline answer (minus optimality, which this path
-  // deliberately trades). The self-draw point in support coordinates: d_a
-  // (a is in the support unless U_aa = 0, and then amount is 0) and theta.
-  const lp::Problem& p = model_.build(sys_, report_, a, amount);
-  const std::vector<std::size_t>& cols = model_.columns();
-  fast_x_.assign(cols.size() + 1, 0.0);
-  const auto own = std::lower_bound(cols.begin(), cols.end(), a);
-  if (own != cols.end() && *own == a)
-    fast_x_[static_cast<std::size_t>(own - cols.begin())] = amount;
-  fast_x_[cols.size()] = theta;
-  const lp::Certificate cert = verifier_.certify_admission(p, fast_x_, theta);
-  if (!cert.certified) {
-    fastpath_fallthrough_.inc();
-    if constexpr (obs::kEnabled) obs_fastpath_fallthrough_->inc();
-    return false;
-  }
-
-  plan.status = PlanStatus::Satisfied;
-  plan.certified = true;
-  plan.theta = theta;
-  plan.lp_iterations = 0;
-  plan.draw.assign(n, 0.0);
-  plan.draw[a] = amount;
-  plan.capacity_before = report_.capacity;
-  plan.capacity_after.assign(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double coeff = i == a ? sys_.retained[a] : row[i];
-    plan.capacity_after[i] = report_.capacity[i] - amount * coeff;
-  }
-  fastpath_granted_.inc();
-  if constexpr (obs::kEnabled) obs_fastpath_granted_->inc();
-  return true;
-}
-
-AllocationPlan Allocator::solve_compact(std::size_t a, double amount, bool exact) const {
+AllocationPlan Allocator::solve_support(std::size_t a, double amount) const {
   const std::size_t n = sys_.size();
   AllocationPlan plan;
   plan.capacity_before = report_.capacity;
 
-  // The relaxed branch poses the support model (its columns are
-  // model_.columns(), then theta); the exact branch poses the full model
-  // (d_0..d_{n-1}, then theta).
-  lp::SolveResult r;
-  if (!exact) {
-    const lp::Problem& p = model_.build(sys_, report_, a, amount);
-    // Every solve starts cold from the slack basis, so a plan is a pure
-    // function of (snapshot, request): the plan cache, replicated shards and
-    // snapshot-restored GRM replicas rely on it. The workspace supplies
-    // scratch and, when the support repeats the last consult's, the
-    // standard-form rhs repatch.
-    lp::SolveWorkspace& ws = model_.workspace();
-    r = opts_.certify ? run_certified(p, &ws, plan) : lp::solve(p, opts_.solve, &ws);
-  } else {
-    lp::ModelBuilder mb(lp::Sense::Minimize);
-    // Draw variables bounded by A's entitlement at each node (U_kA; the own
-    // node's bound is retained_a * V_a, i.e. entitlement(a, a)).
-    std::vector<lp::Var> d(n);
-    for (std::size_t k = 0; k < n; ++k)
-      d[k] = mb.add_var("d[" + std::to_string(k) + "]", 0.0, report_.entitlement(k, a));
-    const lp::Var theta = mb.add_var("theta", 0.0);
-
-    mb.add(lp::sum(d) == amount, "demand");
-
-    // Capacity drop at each principal i:  sum_k d_k * That_ki <= theta.
-    for (std::size_t i = 0; i < n; ++i) {
-      lp::LinExpr drop;
-      for (std::size_t k = 0; k < n; ++k) {
-        const double coeff = k == i ? sys_.retained[i] : report_.shares(k, i);
-        if (coeff > 0.0) drop += coeff * d[k];
-      }
-      mb.add(drop - 1.0 * theta <= 0.0, "perturb[" + std::to_string(i) + "]");
-    }
-
-    if (exact) {
-      // Paper constraint (3): the requester's capacity drops by exactly x.
-      lp::LinExpr drop_a;
-      for (std::size_t k = 0; k < n; ++k) {
-        const double coeff = k == a ? sys_.retained[a] : report_.shares(k, a);
-        if (coeff > 0.0) drop_a += coeff * d[k];
-      }
-      mb.add(drop_a == amount, "exact_drop_at_requester");
-    }
-
-    mb.minimize(lp::LinExpr(theta));
-    r = opts_.certify ? run_certified(mb.problem(), nullptr, plan) : run_solver(mb.problem());
-  }
-
+  // The support model's columns are model_.columns(), then theta. Every
+  // solve starts cold from the slack basis, so a plan is a pure function of
+  // (snapshot, request): the plan cache, replicated shards and
+  // snapshot-restored GRM replicas rely on it. The workspace supplies
+  // scratch and, when the support repeats the last consult's, the
+  // standard-form rhs repatch.
+  const lp::Problem& p = model_.build(sys_, report_, a, amount);
+  const lp::PipelineResult pr = pipeline_.solve(p, &model_.workspace());
+  const lp::SolveResult& r = pr.result;
+  plan.certified = pr.certified();
+  plan.solver_fallbacks = pr.fallbacks;
   plan.lp_iterations = r.iterations;
-  if (opts_.certify && !plan.certified) {
-    // The staged chain could not produce a verifiable answer: deny rather
-    // than grant on an unchecked solution.
+  if (!plan.certified) {
+    // The solve produced no verifiable answer: deny rather than grant on an
+    // unchecked solution. (A certified answer is never IterationLimit.)
     plan.status = PlanStatus::Denied;
-    return plan;
-  }
-  if (r.status == lp::Status::IterationLimit) {
-    plan.status = PlanStatus::SolverFailed;
     return plan;
   }
   if (r.status != lp::Status::Optimal) {
@@ -247,15 +112,14 @@ AllocationPlan Allocator::solve_compact(std::size_t a, double amount, bool exact
 
   plan.status = PlanStatus::Satisfied;
   const std::vector<std::size_t>& cols = model_.columns();
-  const std::size_t ncols = exact ? n : cols.size();
-  plan.theta = r.x[ncols];
+  plan.theta = r.x[cols.size()];
   // drop_i = sum_k d_k * That_ki, accumulated in ascending k over the drawn
   // columns only, reading K row by row.
   plan.draw.assign(n, 0.0);
   std::vector<double>& after = plan.capacity_after;
   after.assign(n, 0.0);
-  for (std::size_t j = 0; j < ncols; ++j) {
-    const std::size_t k = exact ? j : cols[j];
+  for (std::size_t j = 0; j < cols.size(); ++j) {
+    const std::size_t k = cols[j];
     const double dk = std::max(0.0, r.x[j]);
     plan.draw[k] = dk;
     if (dk == 0.0) continue;
@@ -263,91 +127,6 @@ AllocationPlan Allocator::solve_compact(std::size_t a, double amount, bool exact
     for (std::size_t i = 0; i < n; ++i) after[i] += dk * (i == k ? sys_.retained[k] : row[i]);
   }
   for (std::size_t i = 0; i < n; ++i) after[i] = report_.capacity[i] - after[i];
-  return plan;
-}
-
-AllocationPlan Allocator::solve_full(std::size_t a, double amount, bool exact) const {
-  const std::size_t n = sys_.size();
-  AllocationPlan plan;
-  plan.capacity_before = report_.capacity;
-
-  // The paper's variable set: V'_i, C'_i, I'_ij (i != j), theta
-  // -- n^2 + n + 1 variables total (C' counts into the paper's n^2 + n + 1
-  // as the I' matrix has n(n-1) entries).
-  lp::ModelBuilder mb(lp::Sense::Minimize);
-  std::vector<lp::Var> vprime(n), cprime(n);
-  Matrix that = report_.shares;  // K_ki with zero diagonal
-
-  for (std::size_t i = 0; i < n; ++i) {
-    // Constraint (4): 0 <= V_i - V'_i <= I_iA (own node: <= V_A).
-    const double max_draw = i == a ? sys_.capacity[a] : report_.entitlement(i, a);
-    vprime[i] = mb.add_var("V'[" + std::to_string(i) + "]",
-                           std::max(0.0, sys_.capacity[i] - max_draw), sys_.capacity[i]);
-  }
-  for (std::size_t i = 0; i < n; ++i)
-    cprime[i] = mb.add_var("C'[" + std::to_string(i) + "]", 0.0, lp::kInfinity);
-  const lp::Var theta = mb.add_var("theta", 0.0);
-
-  // I'_ij variables plus constraint (1): I'_ij = V'_i * T_ij.
-  std::vector<std::vector<lp::Var>> iprime(n, std::vector<lp::Var>(n));
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      if (i == j) continue;
-      iprime[i][j] =
-          mb.add_var("I'[" + std::to_string(i) + "][" + std::to_string(j) + "]", 0.0,
-                     lp::kInfinity);
-      mb.add(1.0 * iprime[i][j] - that(i, j) * vprime[i] == 0.0, "flow");
-    }
-  }
-
-  // Constraint (2): C'_i = retained_i * V'_i + sum_{k != i} I'_ki.
-  for (std::size_t i = 0; i < n; ++i) {
-    lp::LinExpr rhs = sys_.retained[i] * vprime[i];
-    for (std::size_t k = 0; k < n; ++k)
-      if (k != i) rhs += lp::LinExpr(iprime[k][i]);
-    mb.add(1.0 * cprime[i] - rhs == 0.0, "capacity");
-  }
-
-  // Constraint (3), exact mode only.
-  if (exact) mb.add(1.0 * cprime[a] == report_.capacity[a] - amount, "exact");
-
-  // Constraint (5): sum_i (V_i - V'_i) = x.
-  lp::LinExpr drawn;
-  for (std::size_t i = 0; i < n; ++i) drawn += -1.0 * vprime[i];
-  mb.add(drawn == amount - sum(sys_.capacity), "demand");
-
-  // Constraint (6): C_i - theta <= C'_i <= C_i.
-  for (std::size_t i = 0; i < n; ++i) {
-    mb.add(1.0 * cprime[i] + 1.0 * theta >= report_.capacity[i], "lower");
-    mb.add(1.0 * cprime[i] <= report_.capacity[i], "upper");
-  }
-
-  mb.minimize(lp::LinExpr(theta));
-
-  const lp::SolveResult r =
-      opts_.certify ? run_certified(mb.problem(), nullptr, plan) : run_solver(mb.problem());
-  plan.lp_iterations = r.iterations;
-  if (opts_.certify && !plan.certified) {
-    plan.status = PlanStatus::Denied;
-    return plan;
-  }
-  if (r.status == lp::Status::IterationLimit) {
-    plan.status = PlanStatus::SolverFailed;
-    return plan;
-  }
-  if (r.status != lp::Status::Optimal) {
-    plan.status = PlanStatus::Insufficient;
-    return plan;
-  }
-
-  plan.status = PlanStatus::Satisfied;
-  plan.draw.assign(n, 0.0);
-  plan.capacity_after.assign(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    plan.draw[i] = std::max(0.0, sys_.capacity[i] - r.x[vprime[i].index]);
-    plan.capacity_after[i] = r.x[cprime[i].index];
-  }
-  plan.theta = r.x[theta.index];
   return plan;
 }
 

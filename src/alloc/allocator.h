@@ -11,28 +11,23 @@
 //     leaving the system maximally able to serve future requests from any
 //     principal (the paper's optimization criterion).
 //
-// Two formulations are provided and cross-checked in tests:
+// The LP posed is the compact model's restriction to the requester's
+// support (support_model.h). The full compact model has draw variables d_k
+// plus theta; the capacity drop at i is the linear map
+// drop_i = sum_k d_k * That_ki with That_ii = retained_i and That_ki = K_ki,
+// so it is (n+1) variables and (n+1) rows. Its restriction keeps only the
+// d_k with U_kA > 0, and only the perturbation rows those columns touch. The
+// restriction is exact -- a dropped d_k is fixed at 0 by its bounds, and
+// with those at 0 a dropped row reads -theta <= 0, implied by theta >= 0 --
+// so the pipeline certifies an answer with the same status and optimum as
+// the full model's, and the draw is lifted back to n coordinates with zeros
+// elsewhere.
 //
-//   * Compact: draw variables d_k + theta. The capacity drop at i is the
-//     linear map  drop_i = sum_k d_k * That_ki  with That_ii = retained_i
-//     and That_ki = K_ki, so the full model is (n+1) variables and (n+1)
-//     rows. This is what the simulator uses. In relaxed mode the LP posed
-//     is its restriction to the requester's support (support_model.h):
-//     only the d_k with U_kA > 0, and only the perturbation rows those
-//     columns touch. The restriction is exact -- a dropped d_k is fixed at
-//     0 by its bounds, and with those at 0 a dropped row reads
-//     -theta <= 0, implied by theta >= 0 -- so the pipeline certifies an
-//     answer with the same status and optimum as the full model's, and the
-//     draw is lifted back to n coordinates with zeros elsewhere. Exact mode
-//     poses the full model.
-//   * FullPaper: the paper's verbatim variable set -- I'_ij, C'_i, V'_i and
-//     theta, i.e. n^2 + n + 1 variables with constraints (1)-(6). Useful
-//     for fidelity and as a stress test for the LP substrate.
-//
-// Constraint (3) of the paper, C'_A = C_A - x, conflicts with constraint
-// (5) whenever capacity is drawn over an agreement with share < 1 (see
-// DESIGN.md). EqualityMode::Relaxed (default) drops (3); Exact keeps it and
-// falls back to Relaxed when it renders the program infeasible.
+// The paper's constraint (3), C'_A = C_A - x, conflicts with constraint (5)
+// whenever capacity is drawn over an agreement with share < 1 (see
+// DESIGN.md), so the allocator drops it. The paper's verbatim model
+// (n^2 + n + 1 variables, constraints (1)-(6)), the full compact model and
+// constraint (3) live on as test oracles (tests/oracle_models.h).
 //
 // Every LP runs through lp::SolvePipeline: one cold revised-simplex solve,
 // certified by lp::Verifier; an answer that does not certify is a
@@ -41,7 +36,6 @@
 // that came before it.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -51,59 +45,18 @@
 #include "alloc/allocator_base.h"
 #include "alloc/plan.h"
 #include "alloc/support_model.h"
-#include "lp/certify.h"
 #include "lp/problem.h"
 #include "lp/result.h"
 #include "lp/solve_pipeline.h"
 
 namespace agora::alloc {
 
-/// Relaxed-order counter that stays copyable/movable (Allocator instances are
-/// moved into engine shards); a copy carries the value, not the identity.
-struct RelaxedCounter {
-  RelaxedCounter() = default;
-  RelaxedCounter(const RelaxedCounter& o) : v(o.load()) {}
-  RelaxedCounter& operator=(const RelaxedCounter& o) {
-    v.store(o.load(), std::memory_order_relaxed);
-    return *this;
-  }
-  void inc() { v.fetch_add(1, std::memory_order_relaxed); }
-  std::uint64_t load() const { return v.load(std::memory_order_relaxed); }
-  std::atomic<std::uint64_t> v{0};
-};
-
-enum class Formulation { Compact, FullPaper };
-enum class EqualityMode { Relaxed, Exact };
-
 struct AllocatorOptions {
   agree::TransitiveOptions transitive;  ///< level limit etc. (Figs 8-11)
-  Formulation formulation = Formulation::Compact;
-  EqualityMode equality = EqualityMode::Relaxed;
-  /// Every LP knob in one struct (see lp/solve.h), with lp's own defaults.
-  /// The compact relaxed support model is solved in a workspace and never
-  /// presolved; the rebuild paths (exact mode, FullPaper) presolve like any
-  /// other lp::solve caller. `solve.backend` must stay Revised: the solve
-  /// pipeline rejects any other engine at construction, so certified and
-  /// uncertified consults run the same engine.
+  /// LP tolerances and iteration caps (see lp/solve.h), with lp's own
+  /// defaults. `solve.backend` must stay Revised: the solve pipeline
+  /// rejects any other engine at construction.
   lp::SolveOptions solve;
-  /// Verify every LP answer against the original problem (lp::Verifier) and
-  /// escalate through the staged solve chain (lp::SolvePipeline) until one
-  /// certifies. A consult whose chain is exhausted yields an explicit
-  /// PlanStatus::Denied -- never an uncertified grant. Certification always
-  /// checks against the problem actually posed: when presolve is on, the
-  /// pipeline maps the reduced answer back (postsolve) before verifying.
-  bool certify = true;
-  /// Admission fast path: a request that fits inside the requester's own
-  /// retained entitlement (U_aa) is granted as the self-draw plan
-  /// d = amount * e_a with theta = amount * max_i That_ai, skipping the LP
-  /// entirely. The plan is still certified -- lp::Verifier::certify_admission
-  /// proves it feasible against the request's support model -- so the "no
-  /// uncertified grant" invariant holds, but theta is the self-draw
-  /// perturbation, not the LP minimum (the LP may spread the draw thinner).
-  /// Off by default; turn on where throughput beats perturbation optimality
-  /// (see DESIGN.md section 13). Compact/Relaxed only; other configurations
-  /// ignore the flag.
-  bool fast_path = false;
   /// Telemetry destination, propagated into the solve pipeline. Metric
   /// handles are resolved once at Allocator construction.
   obs::Sink sink = obs::Sink::global();
@@ -141,25 +94,12 @@ class Allocator : public AllocatorBase {
 
   /// Degradation telemetry of the certified solve (attempts, certification
   /// failures, exhausted solves, solver health counters).
-  /// All-zero when `certify` is off.
   const lp::PipelineStats* solver_stats() const override { return &pipeline_.stats(); }
 
-  /// Fast-path telemetry (zero unless AllocatorOptions::fast_path). Readable
-  /// from other threads (the engine aggregates these into EngineStats).
-  std::uint64_t fastpath_granted() const { return fastpath_granted_.load(); }
-  std::uint64_t fastpath_fallthrough() const { return fastpath_fallthrough_.load(); }
-
  private:
-  /// Attempt the theta<=1 self-draw grant; true when `plan` was filled with a
-  /// certified Satisfied plan, false to fall through to the LP.
-  bool try_fast_path(std::size_t a, double amount, AllocationPlan& plan) const;
-  AllocationPlan solve_compact(std::size_t a, double amount, bool exact) const;
-  AllocationPlan solve_full(std::size_t a, double amount, bool exact) const;
-  lp::SolveResult run_solver(const lp::Problem& p) const;
-  /// Certified path: run the pipeline and record the certification outcome
-  /// on the plan.
-  lp::SolveResult run_certified(const lp::Problem& p, lp::SolveWorkspace* ws,
-                                AllocationPlan& plan) const;
+  /// Pose the requester's support model, solve and certify it, and lift the
+  /// answer back to a plan over all n principals.
+  AllocationPlan solve_support(std::size_t a, double amount) const;
   /// Refresh entitlements/capacities from the cached share matrix. The
   /// transitive closure depends only on S, so capacity updates (which the
   /// simulator performs every scheduling epoch) stay O(n^2).
@@ -177,19 +117,12 @@ class Allocator : public AllocatorBase {
   obs::Counter* obs_plans_insufficient_ = nullptr;
   obs::Counter* obs_plans_denied_ = nullptr;
   obs::Counter* obs_plans_failed_ = nullptr;
-  obs::Counter* obs_fastpath_granted_ = nullptr;
-  obs::Counter* obs_fastpath_fallthrough_ = nullptr;
   /// Per-consult support model + solver scratch, mutable behind const
   /// allocate(). Not synchronized: one Allocator serves one allocate() at a
   /// time.
   mutable SupportModel model_;
   /// Certified solve chain (statistics mutate behind const allocate()).
   mutable lp::SolvePipeline pipeline_;
-  /// Admission-certification scratch for the fast path.
-  mutable lp::Verifier verifier_;
-  mutable std::vector<double> fast_x_;
-  mutable RelaxedCounter fastpath_granted_;
-  mutable RelaxedCounter fastpath_fallthrough_;
 };
 
 }  // namespace agora::alloc

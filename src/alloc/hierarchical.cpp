@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "lp/model_builder.h"
-#include "lp/solve.h"
 #include "obs/timer.h"
 
 namespace agora::alloc {
@@ -39,7 +38,7 @@ HierarchicalAllocator::HierarchicalAllocator(agree::AgreementSystem sys,
     AGORA_REQUIRE(!groups_[g].members.empty(), "empty group " + std::to_string(g));
   group_cache_.resize(ng);
   obs_plan_seconds_ = &opts_.sink.histogram("alloc.hier.plan.seconds");
-  obs_fast_path_ = &opts_.sink.counter("alloc.hier.fast_path");
+  obs_own_group_ = &opts_.sink.counter("alloc.hier.own_group");
   obs_coarse_solves_ = &opts_.sink.counter("alloc.hier.coarse_solves");
   obs_fine_solves_ = &opts_.sink.counter("alloc.hier.fine_solves");
   obs_flat_fallbacks_ = &opts_.sink.counter("alloc.hier.flat_fallbacks");
@@ -130,7 +129,7 @@ AllocationPlan HierarchicalAllocator::allocate(std::size_t a, double amount) con
   plan.capacity_before = full_report_.capacity;
   plan.draw.assign(n, 0.0);
 
-  // --- Fast path: the requester's own group can satisfy the request. ------
+  // --- Own group: the requester's own group can satisfy the request. ------
   {
     std::size_t local_a = 0;
     for (std::size_t m = 0; m < groups_[ga].members.size(); ++m)
@@ -139,7 +138,7 @@ AllocationPlan HierarchicalAllocator::allocate(std::size_t a, double amount) con
     if (group_alloc.available_to(local_a) >= amount - 1e-9) {
       const AllocationPlan sub_plan = group_alloc.allocate(local_a, amount);
       if (sub_plan.satisfied()) {
-        obs_fast_path_->inc();
+        obs_own_group_->inc();
         for (std::size_t m = 0; m < groups_[ga].members.size(); ++m)
           plan.draw[groups_[ga].members[m]] = sub_plan.draw[m];
         plan.status = PlanStatus::Satisfied;
@@ -168,7 +167,6 @@ AllocationPlan HierarchicalAllocator::allocate(std::size_t a, double amount) con
   const AllocationPlan coarse_plan = coarse_allocator().allocate(ga, amount);
   plan.lp_iterations += coarse_plan.lp_iterations;
   plan.solver_fallbacks += coarse_plan.solver_fallbacks;
-  bool all_certified = coarse_plan.certified;
   if (!coarse_plan.satisfied()) {
     obs_flat_fallbacks_->inc();
     // The coarse model under-approximates reachable capacity (it collapses
@@ -199,18 +197,11 @@ AllocationPlan HierarchicalAllocator::allocate(std::size_t a, double amount) con
     for (std::size_t m = 0; m < members.size(); ++m) mb.add(1.0 * d[m] - 1.0 * t <= 0.0);
     mb.minimize(lp::LinExpr(t));
     obs_fine_solves_->inc();
-    lp::SolveResult r;
-    if (opts_.certify) {
-      lp::PipelineResult pr = fine_pipeline_.solve(mb.problem());
-      plan.solver_fallbacks += pr.fallbacks;
-      all_certified = all_certified && pr.certified();
-      r = std::move(pr.result);
-      if (!pr.certified()) r.status = lp::Status::IterationLimit;  // force fallback below
-    } else {
-      r = lp::solve(mb.problem(), opts_.solve);
-    }
+    const lp::PipelineResult pr = fine_pipeline_.solve(mb.problem());
+    const lp::SolveResult& r = pr.result;
+    plan.solver_fallbacks += pr.fallbacks;
     plan.lp_iterations += r.iterations;
-    if (r.status != lp::Status::Optimal) {
+    if (!pr.certified() || r.status != lp::Status::Optimal) {
       // Member entitlements cannot cover the coarse assignment (or its
       // answer did not certify); flat solve.
       obs_flat_fallbacks_->inc();
@@ -223,7 +214,7 @@ AllocationPlan HierarchicalAllocator::allocate(std::size_t a, double amount) con
   }
 
   plan.status = PlanStatus::Satisfied;
-  plan.certified = all_certified;
+  plan.certified = coarse_plan.certified;  // and every fine solve certified
   (void)total_theta;  // fine-level balance metric; global theta reported below
   plan.capacity_after = plan.capacity_before;
   plan.theta = 0.0;

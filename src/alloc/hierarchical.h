@@ -36,8 +36,7 @@ class HierarchicalAllocator : public AllocatorBase {
   std::size_t size() const override { return sys_.size(); }
 
   /// Allocate `amount` for principal `a` using the two-level scheme.
-  /// Fast path: when a's own group can cover the request, only that group's
-  /// LP runs.
+  /// When a's own group can cover the request, only that group's LP runs.
   AllocationPlan allocate(std::size_t a, double amount) const override;
 
   /// Largest request principal `a` could have satisfied right now, in the
@@ -98,7 +97,7 @@ class HierarchicalAllocator : public AllocatorBase {
   mutable lp::SolvePipeline fine_pipeline_;
   /// Cached registry handles (see obs/metrics.h).
   obs::LogHistogram* obs_plan_seconds_ = nullptr;
-  obs::Counter* obs_fast_path_ = nullptr;
+  obs::Counter* obs_own_group_ = nullptr;
   obs::Counter* obs_coarse_solves_ = nullptr;
   obs::Counter* obs_fine_solves_ = nullptr;
   obs::Counter* obs_flat_fallbacks_ = nullptr;

@@ -56,13 +56,8 @@ struct AllocationPlan {
   /// Simplex iterations spent.
   std::uint64_t lp_iterations = 0;
 
-  /// True when the paper-exact equality C'_A = C_A - x was requested but
-  /// infeasible, and the allocator fell back to the relaxed model.
-  bool exact_mode_fell_back = false;
-
   /// True when the LP answer behind this plan (grant OR denial) carries an
-  /// lp::Certificate that survived independent verification. Always false
-  /// when the allocator runs with certification disabled.
+  /// lp::Certificate that survived independent verification.
   bool certified = false;
 
   /// Solve stages tried beyond the first before an answer certified. The

@@ -85,10 +85,8 @@ EnforcementEngine::EnforcementEngine(agree::AgreementSystem sys, EngineOptions o
     } else {
       fed_init = fed_->settle(sys_.capacity);  // grant the initial loans
       if (opts_.federation.gap_probes > 0) {
-        alloc::AllocatorOptions xopts = opts_.alloc;
-        xopts.certify = false;  // reference measurements, never admissions
-        xopts.fast_path = false;
-        exact_ = std::make_unique<alloc::Allocator>(sys_, xopts);
+        // Reference measurements, never admissions.
+        exact_ = std::make_unique<alloc::Allocator>(sys_, opts_.alloc);
       }
     }
   }
@@ -269,7 +267,6 @@ alloc::AllocationPlan EnforcementEngine::globalize(const Shard& shard,
   plan.status = local.status;
   plan.theta = local.theta;
   plan.lp_iterations = local.lp_iterations;
-  plan.exact_mode_fell_back = local.exact_mode_fell_back;
   plan.certified = local.certified;
   plan.solver_fallbacks = local.solver_fallbacks;
   const auto overlay = [&](const std::vector<double>& loc, const std::vector<double>& base,
@@ -684,11 +681,6 @@ EngineStats EnforcementEngine::stats() const {
     s.max_batch = shard->max_batch.load(std::memory_order_relaxed);
     s.queue_depth = shard->queue.size();
     out.shard.push_back(s);
-    // atomic_load pairs with the rebuild swap in the worker (federated
-    // settlements replace the allocator when bank earmarks change).
-    const std::shared_ptr<alloc::Allocator> a = std::atomic_load(&shard->alloc);
-    out.fastpath_granted += a->fastpath_granted();
-    out.fastpath_fallthrough += a->fastpath_fallthrough();
   }
   if (pcache_) out.plan_cache = pcache_->stats();
   return out;

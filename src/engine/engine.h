@@ -21,8 +21,8 @@
 //     one shard owning the whole system, the same Allocator performing the
 //     same call sequence (pinned byte-identical in tests/engine_test.cpp).
 //   * Certification is inherited unchanged: the per-shard allocators run
-//     the certified solve chain (AllocatorOptions::certify defaults on),
-//     so no uncertified grant is possible through the engine.
+//     the certified solve, so no uncertified grant is possible through the
+//     engine.
 //   * Per-shard FIFO: operations submitted to one shard take effect in
 //     submission order; mutations ack only after every affected shard
 //     applied them and the new snapshot epoch is published.
@@ -59,8 +59,8 @@ struct EngineOptions {
   /// decision-identical to the direct allocator path. Clamped to the
   /// participant count; in connectivity mode also to the component count.
   std::size_t threads = 1;
-  /// Per-shard allocator configuration. `certify` stays on by default; each
-  /// shard's allocator owns its own solver workspace.
+  /// Per-shard allocator configuration; each shard's allocator owns its own
+  /// solver workspace.
   alloc::AllocatorOptions alloc;
   /// Epoch-keyed decision cache fronting the shard queues (plan_cache.h).
   /// A repeated (participant, amount) shape within one snapshot epoch is
@@ -135,8 +135,9 @@ struct EngineStats {
   FederationStats federation;
   /// Decision-cache counters (all zero when EngineOptions::plan_cache off).
   PlanCacheStats plan_cache;
-  /// Theta<=1 fast-path grants/fallthroughs summed over the per-shard
-  /// allocators (zero unless EngineOptions::alloc.fast_path).
+  /// Always 0: the allocator's admission fast path is deleted. Kept only
+  /// because the end-to-end benchmark (perfbench) still reads them; the next
+  /// change to that benchmark deletes both fields.
   std::uint64_t fastpath_granted = 0;
   std::uint64_t fastpath_fallthrough = 0;
 };

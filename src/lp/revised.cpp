@@ -14,8 +14,6 @@ namespace agora::lp {
 
 namespace {
 
-bool use_sparse(const SolverOptions& opts) { return opts.basis == BasisRep::SparseLu; }
-
 /// Ratio-test pivots below this fraction of ||w||_inf are treated as
 /// possible eta-file drift when the factorization is stale: refactorize and
 /// recompute the column instead of committing the pivot (see run_phase).
@@ -26,69 +24,28 @@ constexpr double kEtaPivotStability = 1e-6;
 constexpr double kBlandPivotShare = 0.5;
 
 /// x_B = B^-1 b with the denormal clamp refactorize() has always used,
-/// writing into reused storage. Sparse path: copy b and run it through the
-/// factored basis; dense path: vectorized dot per binv row.
+/// writing into reused storage: copy b and run it through the factored
+/// basis.
 void compute_xb(const StandardForm& sf, SolveWorkspace& W, const SolverOptions& opts) {
-  const std::size_t m = sf.rows();
-  if (use_sparse(opts)) {
-    W.xb.assign(sf.b.begin(), sf.b.end());
-    W.slu.ftran(W.xb);
-  } else {
-    W.xb.assign(m, 0.0);
-    for (std::size_t r = 0; r < m; ++r) W.xb[r] = vdot(W.binv.row(r), sf.b);
-  }
+  W.xb.assign(sf.b.begin(), sf.b.end());
+  W.slu.ftran(W.xb);
   for (double& v : W.xb)
     if (std::fabs(v) < opts.tols.drop) v = 0.0;
 }
 
-/// Rebuild the factored basis (sparse LU, or the explicit dense inverse
-/// under BasisRep::DenseInverse) and xb from the basis. Resets the pivot
+/// Rebuild the sparse LU of the basis and xb from it. Resets the pivot
 /// counter. When `stats` is given, counts the rebuild and refreshes the
 /// cheap condition estimate plus the sparsity telemetry.
 bool refactorize(const StandardForm& sf, SolveWorkspace& W, const SolverOptions& opts,
                  SolveStats* stats = nullptr) {
-  const std::size_t m = sf.rows();
-  if (use_sparse(opts)) {
-    if (!W.slu.factorize(sf, W.basis)) return false;
-    compute_xb(sf, W, opts);
-    W.pivots_since_factor = 0;
-    if (stats) {
-      ++stats->refactorizations;
-      stats->condition_estimate = W.slu.condition_estimate();
-      stats->basis_nnz = W.slu.basis_nnz();
-      stats->lu_nnz = W.slu.lu_nnz();
-    }
-    return true;
-  }
-  W.bmat.assign(m, m);
-  for (std::size_t i = 0; i < m; ++i)
-    for (std::size_t r = 0; r < m; ++r)
-      W.bmat.at_unchecked(r, i) = sf.a.at_unchecked(r, W.basis[i]);
-  LuFactorization lu(W.bmat);
-  if (lu.singular()) return false;
-  W.binv.assign(m, m);
-  std::vector<double> e(m, 0.0);
-  for (std::size_t col = 0; col < m; ++col) {
-    e[col] = 1.0;
-    const std::vector<double> x = lu.solve(e);
-    e[col] = 0.0;
-    for (std::size_t r = 0; r < m; ++r) W.binv.at_unchecked(r, col) = x[r];
-  }
+  if (!W.slu.factorize(sf, W.basis)) return false;
   compute_xb(sf, W, opts);
   W.pivots_since_factor = 0;
   if (stats) {
     ++stats->refactorizations;
-    double bn = 0.0, in = 0.0;
-    for (std::size_t r = 0; r < m; ++r) {
-      double brow = 0.0, irow = 0.0;
-      for (std::size_t k = 0; k < m; ++k) {
-        brow += std::fabs(W.bmat.at_unchecked(r, k));
-        irow += std::fabs(W.binv.at_unchecked(r, k));
-      }
-      bn = std::max(bn, brow);
-      in = std::max(in, irow);
-    }
-    stats->condition_estimate = bn * in;
+    stats->condition_estimate = W.slu.condition_estimate();
+    stats->basis_nnz = W.slu.basis_nnz();
+    stats->lu_nnz = W.slu.lu_nnz();
   }
   return true;
 }
@@ -133,23 +90,16 @@ void refine_xb(const StandardForm& sf, SolveWorkspace& W, const SolverOptions& o
   if (rel == 0.0) return;
   ++stats.refinement_steps;
   const std::size_t m = sf.rows();
-  if (use_sparse(opts)) {
-    W.rho.assign(W.resid.begin(), W.resid.end());
-    W.slu.ftran(W.rho);
-    for (std::size_t r = 0; r < m; ++r) {
-      W.xb[r] += W.rho[r];
-      if (std::fabs(W.xb[r]) < opts.tols.drop) W.xb[r] = 0.0;
-    }
-    return;
-  }
+  W.rho.assign(W.resid.begin(), W.resid.end());
+  W.slu.ftran(W.rho);
   for (std::size_t r = 0; r < m; ++r) {
-    W.xb[r] += vdot(W.binv.row(r), W.resid);
+    W.xb[r] += W.rho[r];
     if (std::fabs(W.xb[r]) < opts.tols.drop) W.xb[r] = 0.0;
   }
 }
 
 /// Relative residual ||B w - a_col||_inf / (1 + ||a_col||_inf) of the
-/// tableau column W.w claimed for entering column `col`. The sparse path
+/// tableau column W.w claimed for entering column `col`. The solver
 /// verifies every column with this before the ratio test: the rhs-based
 /// xb_residual check is structurally blind on heavily degenerate problems
 /// (when every nonzero of x_B sits on a slack column, b - B x_B is exactly
@@ -213,45 +163,19 @@ double dual_residual(const StandardForm& sf, SolveWorkspace& W) {
   return rnorm / (1.0 + cmax + bmax * ymax);
 }
 
-/// w = B^-1 A_col over the column's nonzeros (CSC). Sparse path: scatter the
-/// column and sweep the LU factors + eta file (work scales with the factor
-/// nonzeros). Dense path iterates binv by rows -- each row is contiguous, so
-/// the gather over the column's row indices stays inside one cache line run
-/// instead of striding the whole inverse.
-void ftran(const StandardForm& sf, SolveWorkspace& W, const SolverOptions& opts,
-           std::size_t col) {
-  const std::size_t m = sf.rows();
-  const std::size_t start = sf.col_start[col];
-  const std::size_t nnz = sf.col_start[col + 1] - start;
-  const std::size_t* idx = sf.col_row.data() + start;
-  const double* val = sf.col_val.data() + start;
-  if (use_sparse(opts)) {
-    // Scatter the CSC column and run it through the factored basis.
-    W.w.assign(m, 0.0);
-    for (std::size_t t = 0; t < nnz; ++t) W.w[idx[t]] = val[t];
-    W.slu.ftran(W.w);
-    return;
-  }
-  W.w.resize(m);
-  for (std::size_t r = 0; r < m; ++r)
-    W.w[r] = gather_dot(&W.binv.at_unchecked(r, 0), idx, val, nnz);
+/// w = B^-1 A_col: scatter the CSC column and sweep the LU factors + eta
+/// file (work scales with the factor nonzeros).
+void ftran(const StandardForm& sf, SolveWorkspace& W, std::size_t col) {
+  W.w.assign(sf.rows(), 0.0);
+  for (std::size_t t = sf.col_start[col]; t < sf.col_start[col + 1]; ++t)
+    W.w[sf.col_row[t]] = sf.col_val[t];
+  W.slu.ftran(W.w);
 }
 
-/// y' = c_B' B^-1 into W.y (sparse: transpose solve through the factored
-/// basis; dense: vectorized axpy per contributing binv row).
-void btran(const StandardForm& sf, SolveWorkspace& W, const SolverOptions& opts) {
-  const std::size_t m = sf.rows();
-  if (use_sparse(opts)) {
-    W.y.assign(W.cb.begin(), W.cb.end());
-    W.slu.btran(W.y);
-    return;
-  }
-  W.y.assign(m, 0.0);
-  for (std::size_t r = 0; r < m; ++r) {
-    const double c = W.cb[r];
-    if (c == 0.0) continue;
-    vaxpy(c, W.binv.row(r), std::span<double>(W.y));
-  }
+/// y' = c_B' B^-1 into W.y: transpose solve through the factored basis.
+void btran(SolveWorkspace& W) {
+  W.y.assign(W.cb.begin(), W.cb.end());
+  W.slu.btran(W.y);
 }
 
 /// Reduced cost d_j = c_j - y' A_j over the column's nonzeros.
@@ -263,27 +187,19 @@ double reduced_cost(const StandardForm& sf, const SolveWorkspace& W,
 }
 
 /// Basis update after column `enter` (with tableau column W.w) replaces the
-/// basic variable of row `leave`. Sparse path: W.w *is* the product-form eta
-/// vector, so absorbing the pivot is one sparse copy; dense path: the
-/// historical elementary row update of binv. Both apply the same elementary
-/// update to xb.
+/// basic variable of row `leave`. W.w *is* the product-form eta vector, so
+/// absorbing the pivot is one sparse copy; xb takes the elementary update.
 void update(SolveWorkspace& W, std::size_t leave, std::size_t enter,
             const SolverOptions& opts, SolveStats& stats) {
   const std::size_t m = W.basis.size();
-  const double pivot = W.w[leave];
-  const double inv = 1.0 / pivot;
-  if (use_sparse(opts)) {
-    W.slu.push_eta(leave, W.w, opts.tols.drop);
-    stats.max_eta_count = std::max<std::uint64_t>(stats.max_eta_count, W.slu.eta_count());
-  } else {
-    for (std::size_t k = 0; k < m; ++k) W.binv.at_unchecked(leave, k) *= inv;
-  }
+  const double inv = 1.0 / W.w[leave];
+  W.slu.push_eta(leave, W.w, opts.tols.drop);
+  stats.max_eta_count = std::max<std::uint64_t>(stats.max_eta_count, W.slu.eta_count());
   W.xb[leave] *= inv;
   for (std::size_t r = 0; r < m; ++r) {
     if (r == leave) continue;
     const double f = W.w[r];
     if (f == 0.0) continue;
-    if (!use_sparse(opts)) vaxpy(-f, W.binv.row(leave), W.binv.row(r));
     W.xb[r] -= f * W.xb[leave];
     if (std::fabs(W.xb[r]) < opts.tols.drop) W.xb[r] = 0.0;
   }
@@ -301,17 +217,15 @@ PhaseOutcome run_phase(const StandardForm& sf, SolveWorkspace& W,
                        std::uint64_t& iterations, SolveStats& stats,
                        std::size_t* unbounded_enter = nullptr) {
   std::uint64_t degenerate_streak = 0;
-  std::uint64_t since_refactor = 0;
   const std::size_t m = sf.rows();
   const std::size_t n = sf.cols();
   W.in_basis.assign(n, false);
   for (std::size_t b : W.basis) W.in_basis[b] = true;
 
-  // Partial pricing (sparse basis only): scan candidate columns in blocks
-  // starting from a rotating cursor and enter the best reduced cost of the
-  // first block that has one; optimality is only declared after a full sweep
-  // of all n columns finds none, so the claim is as strong as full Dantzig
-  // pricing. The dense path keeps block == n, i.e. the historical full scan.
+  // Partial pricing: scan candidate columns in blocks starting from a
+  // rotating cursor and enter the best reduced cost of the first block that
+  // has one; optimality is only declared after a full sweep of all n columns
+  // finds none, so the claim is as strong as full Dantzig pricing.
   //
   // The block doubles after every degenerate pivot and snaps back to the
   // base size on real progress. On heavily degenerate problems a fixed
@@ -319,22 +233,17 @@ PhaseOutcome run_phase(const StandardForm& sf, SolveWorkspace& W,
   // allocation LPs are ring-symmetric, so whole blocks are interchangeable
   // junk), the cursor crawls, and the solver burns its stall budget before
   // ever seeing the distant column a full Dantzig scan would enter first.
-  // Escalating to a full scan under degeneracy buys the dense path's
-  // stall behavior while keeping block pricing where it pays.
-  const std::size_t base_block =
-      use_sparse(opts) ? std::max<std::size_t>(64, n / 8) : n;
+  // Escalating to a full scan under degeneracy buys full pricing's stall
+  // behavior while keeping block pricing where it pays.
+  const std::size_t base_block = std::max<std::size_t>(64, n / 8);
   std::size_t price_block = base_block;
   std::size_t price_cursor = 0;
 
   for (std::uint64_t it = 0; it < opts.max_iterations; ++it) {
     const bool bland = degenerate_streak >= opts.stall_threshold;
-    // Periodic refactorization. The sparse path keys on the solve's pivot
-    // counter so the eta file stays bounded by kRefactorInterval across the
-    // phase-1 -> phase-2 transition (the eta file persists where the
-    // phase-local counter restarts); the dense path keeps the historical
-    // phase-local cadence bit-for-bit.
-    const std::uint64_t since =
-        use_sparse(opts) ? W.pivots_since_factor : since_refactor;
+    // Periodic refactorization, keyed on the solve's pivot counter so the
+    // eta file stays bounded by kRefactorInterval across the phase-1 ->
+    // phase-2 transition (the eta file persists there).
     // Cost-based cadence on top of the pivot count: once the eta file holds
     // more nonzeros than the LU factors themselves, every ftran/btran pays
     // more to replay the update history than to apply the factorization, so
@@ -342,11 +251,9 @@ PhaseOutcome run_phase(const StandardForm& sf, SolveWorkspace& W,
     // trigger from thrashing early in phase 1, where the slack basis factors
     // to lu_nnz ~ m and a couple of etas already outweigh it even though the
     // file is still trivially cheap to replay.
-    const bool eta_heavy = use_sparse(opts) && W.pivots_since_factor >= 8 &&
-                           W.slu.eta_nnz() > W.slu.lu_nnz();
-    if (since >= kRefactorInterval || eta_heavy) {
+    const bool eta_heavy = W.pivots_since_factor >= 8 && W.slu.eta_nnz() > W.slu.lu_nnz();
+    if (W.pivots_since_factor >= kRefactorInterval || eta_heavy) {
       if (!refactorize(sf, W, opts, &stats)) return PhaseOutcome::NumericalFailure;
-      since_refactor = 0;
     } else if (W.pivots_since_factor > 0) {
       // Residual-triggered refactorization: elementary updates accumulate
       // drift between the periodic rebuilds; catch it as soon as the basic
@@ -356,15 +263,14 @@ PhaseOutcome run_phase(const StandardForm& sf, SolveWorkspace& W,
       if (rel > opts.tols.refactor_residual) {
         ++stats.residual_refactorizations;
         if (!refactorize(sf, W, opts, &stats)) return PhaseOutcome::NumericalFailure;
-        since_refactor = 0;
       }
     }
     // Price: y = c_B' B^-1, then reduced costs d_j = c_j - y' A_j over each
     // candidate column's nonzeros.
     W.cb.assign(m, 0.0);
     for (std::size_t r = 0; r < m; ++r) W.cb[r] = cost[W.basis[r]];
-    btran(sf, W, opts);
-    // While Bland's rule is active the sparse path insists on trustworthy
+    btran(W);
+    // While Bland's rule is active the solver insists on trustworthy
     // pricing every iteration, not just at optimality: the anti-cycling
     // proof assumes exact pivot selection, and eta drift in y (a column
     // whose true reduced cost is zero showing d < -tol) breaks it. A
@@ -372,14 +278,13 @@ PhaseOutcome run_phase(const StandardForm& sf, SolveWorkspace& W,
     // columns -- carries the same error level as pricing off fresh factors,
     // so only a failed check forces the rebuild (refactorizing every Bland
     // iteration unconditionally costs more than the stall itself).
-    if (use_sparse(opts) && bland && W.pivots_since_factor > 0 &&
+    if (bland && W.pivots_since_factor > 0 &&
         dual_residual(sf, W) > opts.tols.refactor_residual) {
       ++stats.residual_refactorizations;
       if (!refactorize(sf, W, opts, &stats)) return PhaseOutcome::NumericalFailure;
-      since_refactor = 0;
       W.cb.assign(m, 0.0);
       for (std::size_t r = 0; r < m; ++r) W.cb[r] = cost[W.basis[r]];
-      btran(sf, W, opts);
+      btran(W);
     }
 
     std::size_t enter = n;
@@ -411,23 +316,21 @@ PhaseOutcome run_phase(const StandardForm& sf, SolveWorkspace& W,
       if (enter != n) price_cursor = enter + 1 < n ? enter + 1 : 0;
     }
     if (enter == n) {
-      // Sparse path: only declare optimality against trustworthy pricing --
+      // Only declare optimality against trustworthy pricing --
       // y came through the eta file, and a drifted y can make an improving
       // column look priced-out. A backward-stable y (checked directly, one
       // pass over the basis columns) is as good as fresh factors; only when
       // the check fails is a rebuild + re-price needed, so a solve whose
       // factors are healthy ends without one.
-      if (use_sparse(opts) && W.pivots_since_factor > 0 &&
-          dual_residual(sf, W) > opts.tols.refactor_residual) {
+      if (W.pivots_since_factor > 0 && dual_residual(sf, W) > opts.tols.refactor_residual) {
         if (!refactorize(sf, W, opts, &stats)) return PhaseOutcome::NumericalFailure;
-        since_refactor = 0;
         continue;
       }
       return PhaseOutcome::Optimal;
     }
 
-    ftran(sf, W, opts, enter);
-    // Sparse path: verify the tableau column before the ratio test sees it.
+    ftran(sf, W, enter);
+    // Verify the tableau column before the ratio test sees it.
     // The xb-residual trigger cannot catch eta drift on heavily degenerate
     // problems (see tableau_column_residual), and a pivot committed from a
     // drifted column can wedge a dependent column into the basis -- after
@@ -436,29 +339,25 @@ PhaseOutcome run_phase(const StandardForm& sf, SolveWorkspace& W,
     // W.resid, so the correction is a single extra solve) -- that also
     // absorbs Markowitz element growth, which fresh factors inherit -- and
     // only an unrefinable column forces a refactorization.
-    if (use_sparse(opts)) {
-      const auto refined_residual = [&](std::size_t col) {
-        double rel = tableau_column_residual(sf, W, col);
-        if (rel <= opts.tols.refactor_residual) return rel;
-        W.rho.assign(W.resid.begin(), W.resid.end());
-        W.slu.ftran(W.rho);
-        for (std::size_t i = 0; i < m; ++i) W.w[i] += W.rho[i];
-        return tableau_column_residual(sf, W, col);
-      };
-      double rel = refined_residual(enter);
-      if (rel > opts.tols.refactor_residual && W.pivots_since_factor > 0) {
-        ++stats.residual_refactorizations;
-        if (!refactorize(sf, W, opts, &stats)) return PhaseOutcome::NumericalFailure;
-        since_refactor = 0;
-        ftran(sf, W, opts, enter);
-        rel = refined_residual(enter);
-      }
+    const auto refined_residual = [&](std::size_t col) {
+      const double rel = tableau_column_residual(sf, W, col);
+      if (rel <= opts.tols.refactor_residual) return rel;
+      W.rho.assign(W.resid.begin(), W.resid.end());
+      W.slu.ftran(W.rho);
+      for (std::size_t i = 0; i < m; ++i) W.w[i] += W.rho[i];
+      return tableau_column_residual(sf, W, col);
+    };
+    if (refined_residual(enter) > opts.tols.refactor_residual && W.pivots_since_factor > 0) {
+      ++stats.residual_refactorizations;
+      if (!refactorize(sf, W, opts, &stats)) return PhaseOutcome::NumericalFailure;
+      ftran(sf, W, enter);
+      (void)refined_residual(enter);
     }
     std::size_t leave = m;
     double best_ratio = std::numeric_limits<double>::infinity();
     double wmax = 0.0;
     for (std::size_t r = 0; r < m; ++r) wmax = std::max(wmax, std::fabs(W.w[r]));
-    // Eta-file stability floor (sparse path, stale factors): an entry that is
+    // Eta-file stability floor (stale factors only): an entry that is
     // noise-sized relative to the tableau column is as likely to be
     // accumulated eta drift as a real value -- pivoting on it can wedge a
     // dependent column into the basis (B becomes singular and the next
@@ -468,14 +367,13 @@ PhaseOutcome run_phase(const StandardForm& sf, SolveWorkspace& W,
     // never under Bland's rule, where the verified (and if needed refined)
     // tableau column is the drift screen instead and the pivot-share rule
     // below keeps the chosen pivots large.
-    const double pivot_floor =
-        use_sparse(opts) && !bland && W.pivots_since_factor > 0
-            ? std::max(opts.tol, kEtaPivotStability * wmax)
-            : opts.tol;
-    // Ratio-test tie-break: the sparse path prefers the largest pivot among
-    // tied ratios (degenerate LPs tie dozens of rows at ratio 0, and a
-    // noise-sized pivot there poisons the product-form eta file). The dense
-    // path keeps the historical index tie-break.
+    const double pivot_floor = !bland && W.pivots_since_factor > 0
+                                   ? std::max(opts.tol, kEtaPivotStability * wmax)
+                                   : opts.tol;
+    // Ratio-test tie-break: outside Bland's rule prefer the largest pivot
+    // among tied ratios (degenerate LPs tie dozens of rows at ratio 0, and a
+    // noise-sized pivot there poisons the product-form eta file); under it,
+    // the lowest basis index.
     //
     // A basic column that may not enter -- an artificial phase 1 left basic
     // at zero level, in phase 2 -- is pinned at zero: moving it either way
@@ -483,22 +381,21 @@ PhaseOutcome run_phase(const StandardForm& sf, SolveWorkspace& W,
     // it grow, so such a row blocks too, at ratio 0. (The tableau instead
     // pivots those artificials out after phase 1; blocking here changes
     // nothing on the pivot paths that never grow one.)
-    const bool prefer_magnitude = use_sparse(opts) && !bland;
     for (std::size_t r = 0; r < m; ++r) {
       const bool pinned = W.w[r] < -pivot_floor && !W.allowed[W.basis[r]];
       if (W.w[r] <= pivot_floor && !pinned) continue;
       const double ratio = pinned ? 0.0 : W.xb[r] / W.w[r];
       bool better = ratio < best_ratio - opts.tol;
       if (!better && ratio < best_ratio + opts.tol && leave < m) {
-        better = prefer_magnitude ? std::fabs(W.w[r]) > std::fabs(W.w[leave])
-                                  : W.basis[r] < W.basis[leave];
+        better = !bland ? std::fabs(W.w[r]) > std::fabs(W.w[leave])
+                        : W.basis[r] < W.basis[leave];
       }
       if (better) {
         best_ratio = ratio;
         leave = r;
       }
     }
-    // Under Bland's rule both paths then take the lowest basis index among
+    // Under Bland's rule the solver then takes the lowest basis index among
     // the tied rows whose pivot is at least kBlandPivotShare of the largest.
     // The pure lowest-index rule picks small pivots whenever they tie: a
     // cold phase 1 on a large banded system stalls for thousands of ratio-0
@@ -526,9 +423,8 @@ PhaseOutcome run_phase(const StandardForm& sf, SolveWorkspace& W,
       // Unboundedness, like optimality, is only declared against fresh
       // factors: the relative floor may have screened out drift-sized
       // entries, and a drifted column can hide the true blocking row.
-      if (use_sparse(opts) && W.pivots_since_factor > 0) {
+      if (W.pivots_since_factor > 0) {
         if (!refactorize(sf, W, opts, &stats)) return PhaseOutcome::NumericalFailure;
-        since_refactor = 0;
         continue;
       }
       if (unbounded_enter) *unbounded_enter = enter;
@@ -547,7 +443,6 @@ PhaseOutcome run_phase(const StandardForm& sf, SolveWorkspace& W,
     W.in_basis[enter] = true;
     update(W, leave, enter, opts, stats);
     ++iterations;
-    ++since_refactor;
   }
   return PhaseOutcome::IterationLimit;
 }
@@ -611,7 +506,7 @@ SolveResult RevisedSimplexSolver::solve(const Problem& p, SolveWorkspace* ws) co
       // cost (y'A_j <= 0) while y'b equals the positive artificial sum.
       W.cb.assign(m, 0.0);
       for (std::size_t r = 0; r < m; ++r) W.cb[r] = W.cost1[W.basis[r]];
-      btran(sf, W, opts_);
+      btran(W);
       res.farkas = W.y;
       res.status = Status::Infeasible;
       return res;
@@ -670,7 +565,7 @@ SolveResult RevisedSimplexSolver::solve(const Problem& p, SolveWorkspace* ws) co
   {
     W.cb.assign(m, 0.0);
     for (std::size_t r = 0; r < m; ++r) W.cb[r] = sf.c[W.basis[r]];
-    btran(sf, W, opts_);
+    btran(W);
     res.duals.assign(p.num_constraints(), 0.0);
     for (std::size_t r = 0; r < m; ++r) {
       const std::size_t origin = sf.row_origin[r];

@@ -1,5 +1,4 @@
-// revised.h -- revised primal simplex over a factored basis (sparse LU, or
-// an explicit dense inverse under BasisRep::DenseInverse).
+// revised.h -- revised primal simplex over a sparse LU basis.
 //
 // Identical interface and semantics to SimplexSolver, but iterates on the
 // factored m x m basis instead of the full tableau: pricing touches original

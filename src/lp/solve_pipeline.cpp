@@ -21,8 +21,6 @@ void accumulate(SolveStats& into, const SolveStats& s) {
   into.basis_nnz = std::max(into.basis_nnz, s.basis_nnz);
   into.lu_nnz = std::max(into.lu_nnz, s.lu_nnz);
   into.max_eta_count = std::max(into.max_eta_count, s.max_eta_count);
-  into.presolve_rows_removed = std::max(into.presolve_rows_removed, s.presolve_rows_removed);
-  into.presolve_cols_removed = std::max(into.presolve_cols_removed, s.presolve_cols_removed);
 }
 
 }  // namespace
@@ -55,6 +53,7 @@ SolvePipeline::SolvePipeline(PipelineOptions opts)
   obs_certified_ = &opts_.sink.counter("lp.pipeline.certified");
   obs_exhausted_ = &opts_.sink.counter("lp.pipeline.exhausted");
   obs_solve_seconds_ = &opts_.sink.histogram("lp.pipeline.solve.seconds");
+  obs_certify_seconds_ = &opts_.sink.histogram("lp.pipeline.certify.seconds");
   obs_iterations_ = &opts_.sink.histogram("lp.pipeline.iterations");
 }
 
@@ -73,12 +72,16 @@ PipelineResult SolvePipeline::solve(const Problem& p, SolveWorkspace* ws) {
   out.result = lp::solve(p, opts_.solve, ws);
   ++stats_.attempts[kStage];
   accumulate(stats_.solver, out.result.stats);
+  // The solve's end is the certification's start: one extra clock read
+  // times the Verifier beside the stage it checks.
+  const double certify_start = obs::kEnabled ? obs::now_seconds() : 0.0;
   if constexpr (obs::kEnabled) {
     stage_obs_[kStage].attempts->inc();
-    stage_obs_[kStage].seconds->observe(obs::now_seconds() - stage_start);
+    stage_obs_[kStage].seconds->observe(certify_start - stage_start);
   }
 
   out.certificate = verifier_.certify(p, out.result);
+  if constexpr (obs::kEnabled) obs_certify_seconds_->observe(obs::now_seconds() - certify_start);
   if (out.certificate.certified) {
     ++stats_.certified;
     if (out.certificate.primal_only) ++stats_.primal_only;

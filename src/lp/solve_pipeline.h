@@ -1,9 +1,9 @@
 // solve_pipeline.h -- the certified production LP solve.
 //
-// One revised-simplex solve (presolved unless the caller passes a
-// workspace, see solve.h), then lp::Verifier certifies the answer against
-// the ORIGINAL problem, using only the problem data. A certified answer is
-// returned as trustworthy; an uncertified one never is. The caller then gets
+// One cold revised-simplex solve, then lp::Verifier certifies the answer
+// against the problem posed, using only the problem data. A certified
+// answer is returned as trustworthy; an uncertified one never is. The
+// caller then gets
 // the attempt plus its rejection reason under PipelineStage::Exhausted, with
 // certified() == false, and enforcement layers map that to an explicit
 // conservative denial. The tableau and brute-force backends stay reachable
@@ -42,8 +42,8 @@ inline const char* to_string(PipelineStage s) {
 }
 
 struct PipelineOptions {
-  /// Solve knobs (presolve switch, basis representation, tolerances,
-  /// iteration caps); the Verifier uses `solve.tols` too. The pipeline is
+  /// Solve knobs (tolerances, iteration caps); the Verifier uses
+  /// `solve.tols` too. The pipeline is
   /// the revised engine's, so `solve.backend` must stay Backend::Revised
   /// (the default); the constructor rejects anything else.
   SolveOptions solve;
@@ -90,7 +90,7 @@ class SolvePipeline {
   explicit SolvePipeline(PipelineOptions opts = {});
 
   /// Solve and certify. `ws` (optional) follows the RevisedSimplexSolver
-  /// workspace contract: scratch and the rhs repatch, no presolve.
+  /// workspace contract: scratch and the rhs repatch.
   PipelineResult solve(const Problem& p, SolveWorkspace* ws = nullptr);
 
   const PipelineStats& stats() const { return stats_; }
@@ -115,6 +115,9 @@ class SolvePipeline {
   obs::Counter* obs_certified_ = nullptr;
   obs::Counter* obs_exhausted_ = nullptr;
   obs::LogHistogram* obs_solve_seconds_ = nullptr;
+  /// Verifier time per solve (lp.pipeline.certify.seconds), beside the
+  /// stage's own solve time (lp.pipeline.stage.cold-revised.seconds).
+  obs::LogHistogram* obs_certify_seconds_ = nullptr;
   obs::LogHistogram* obs_iterations_ = nullptr;
 };
 

@@ -2,7 +2,7 @@
 // substrate uses.
 //
 // Before this file, feasibility and pivot epsilons were scattered as magic
-// literals across simplex.cpp, revised.cpp, presolve.cpp and brute_force.cpp;
+// literals across simplex.cpp, revised.cpp and brute_force.cpp;
 // tightening one without the others produced solvers that disagreed about
 // what "feasible" means. Tolerances centralizes them, and -- where a check
 // compares a residual against a problem-dependent quantity -- the checks are
@@ -29,12 +29,6 @@ struct Tolerances {
   /// Relative ||b - B x_B||_inf above which the basis inverse is rebuilt
   /// (residual-triggered refactorization, on top of the pivot-count cadence).
   double refactor_residual = 1e-8;
-
-  // --- Presolve. -----------------------------------------------------------
-  /// Bound-width below which a variable counts as fixed.
-  double presolve_fix = 1e-11;
-  /// Feasibility slack for constant (empty) rows; relative to (1 + |rhs|).
-  double presolve_row = 1e-9;
 
   // --- Certification (lp::Verifier). Deliberately looser than the solver
   // tolerances: a correct answer computed to 1e-9 must certify comfortably

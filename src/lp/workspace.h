@@ -20,7 +20,6 @@
 
 #include "lp/sparse_lu.h"
 #include "lp/standard_form.h"
-#include "util/matrix.h"
 
 namespace agora::lp {
 
@@ -29,9 +28,7 @@ struct SolveWorkspace {
   // so steady-state solves allocate nothing.
   StandardForm sf;                  ///< standard-form rebuild/repatch target.
   std::vector<std::size_t> basis;   ///< current basis, length m.
-  SparseLu slu;                     ///< factored basis (BasisRep::SparseLu).
-  Matrix binv;                      ///< m x m basis inverse (DenseInverse).
-  Matrix bmat;                      ///< dense refactorization scratch.
+  SparseLu slu;                     ///< factored basis.
   std::vector<double> rho;          ///< refinement correction scratch.
   std::vector<double> xb;           ///< current basic solution B^-1 b.
   std::vector<double> cb;           ///< basic cost gather.

@@ -47,7 +47,7 @@ struct SimConfig {
   SchedulerKind scheduler = SchedulerKind::None;
   /// Relative agreement matrix S between proxies (ignored for None).
   Matrix agreements;
-  /// Allocator options: transitivity level (Figures 8-11), formulation, ...
+  /// Allocator options: transitivity level (Figures 8-11), LP tolerances.
   alloc::AllocatorOptions alloc_opts;
   /// LP scheme backend: 0 (default) consults the in-process Allocator
   /// directly; >= 1 routes every consult through a sharded

@@ -150,14 +150,15 @@ double linf_distance(std::span<const double> a, std::span<const double> b);
 
 // --- Vectorized kernels (hot-path math; see AGORA_SIMD in CMakeLists) -----
 //
-// The admission fast path and the revised-simplex inner loops spend nearly
-// all their time in dot/axpy-shaped passes over contiguous doubles. These
-// kernels are written as four independent accumulator lanes with a scalar
-// tail, which is exactly the shape an AVX2 register holds -- the intrinsic
-// path (compiled when AGORA_SIMD is on and the compiler targets AVX2) and
-// the portable fallback therefore produce bit-identical results: same lane
-// assignment, same combine order, no FMA contraction. `vaxpy` is elementwise
-// and bit-identical to `axpy` as well, so callers may switch freely.
+// The plan-cache re-certification and the revised-simplex inner loops
+// spend nearly all their time in dot/axpy-shaped passes over contiguous
+// doubles. These kernels are written as four independent accumulator lanes
+// with a scalar tail, which is exactly the shape an AVX2 register holds --
+// the intrinsic path (compiled when AGORA_SIMD is on and the compiler
+// targets AVX2) and the portable fallback therefore produce bit-identical
+// results: same lane assignment, same combine order, no FMA contraction.
+// `vaxpy` is elementwise and bit-identical to `axpy` as well, so callers
+// may switch freely.
 //
 // They deliberately skip the length AGORA_REQUIREs of their scalar
 // counterparts: every call site is an inner loop that has already validated
@@ -172,7 +173,7 @@ inline double vdot(std::span<const double> a, std::span<const double> b) {
 
 /// Fused pass computing both sum(a[i]*x[i]) and sum(|a[i]*x[i]|) -- the
 /// activity and the magnitude scale a relative residual test needs, in one
-/// sweep (lp::Verifier admission checks).
+/// sweep.
 struct DotAbs {
   double value = 0.0;
   double magnitude = 0.0;
@@ -193,8 +194,8 @@ inline void vaxpy(double alpha, std::span<const double> x, std::span<double> y) 
 /// (y must already have A.rows() elements).
 void gemv(const Matrix& a, std::span<const double> x, std::span<double> y);
 
-/// Sparse gather dot: sum_t row[idx[t]] * val[t]. The revised simplex ftran
-/// iterates basis-inverse rows against a CSC column with this.
+/// Sparse gather dot: sum_t row[idx[t]] * val[t]. The revised simplex prices
+/// a CSC column against the simplex multipliers with this.
 double gather_dot(const double* row, const std::size_t* idx, const double* val,
                   std::size_t nnz);
 

@@ -1,7 +1,7 @@
 // Property-based tests for the allocation engine on randomized agreement
 // systems: plan feasibility invariants, optimality of theta against the
 // endpoint baseline, monotonicity in capacity and transitivity level, and
-// exact-mode consistency.
+// consistency with the paper-exact program (a test oracle).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,7 +9,10 @@
 #include "agree/capacity.h"
 #include "alloc/allocator.h"
 #include "alloc/endpoint.h"
+#include "lp/solve_pipeline.h"
 #include "util/rng.h"
+
+#include "oracle_models.h"
 
 namespace agora::alloc {
 namespace {
@@ -143,19 +146,29 @@ TEST_P(RandomSystems, AvailabilityMonotoneInLevel) {
 }
 
 TEST_P(RandomSystems, ExactModeFallbackIsFlagged) {
+  // The paper-exact program (the full compact model plus constraint (3),
+  // oracle_models.h) either certifies an optimum, which the allocator's
+  // relaxed optimum never exceeds, or certifies infeasibility -- the case
+  // the allocator exists to absorb by dropping (3). Either way the request
+  // is granted.
   const AgreementSystem sys = make_system(GetParam());
-  AllocatorOptions opts;
-  opts.equality = EqualityMode::Exact;
-  Allocator allocator(sys, opts);
+  Allocator allocator(sys);
   Pcg32 rng(GetParam().seed ^ 0x31415);
   const std::size_t a = rng.uniform_u32(static_cast<std::uint32_t>(sys.size()));
   const double x = allocator.available_to(a) * 0.5;
   const AllocationPlan plan = allocator.allocate(a, x);
   if (x <= 0.0) return;
-  // Either the paper-exact program was feasible, or the fallback kicked in;
-  // in both cases the request must be satisfied.
   ASSERT_TRUE(plan.satisfied());
   EXPECT_NEAR(plan.total_drawn(), x, 1e-6);
+  const lp::Problem exact =
+      oracle::full_compact_model(sys, allocator.capacities(), a, x, /*exact=*/true);
+  lp::SolvePipeline pipeline;
+  const lp::PipelineResult pr = pipeline.solve(exact);
+  ASSERT_TRUE(pr.certified()) << (pr.certificate.reject ? pr.certificate.reject : "");
+  if (pr.result.status == lp::Status::Optimal)
+    EXPECT_GE(pr.result.objective, plan.theta - 1e-7);
+  else
+    EXPECT_EQ(pr.result.status, lp::Status::Infeasible);
 }
 
 std::vector<SystemSpec> specs() {

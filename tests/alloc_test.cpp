@@ -1,7 +1,7 @@
-// Unit and property tests for the allocation engine: compact vs full-paper
-// LP formulations, the exact/relaxed handling of the paper's constraint (3),
-// the endpoint baseline, multi-resource requests, bundles, and the
-// hierarchical multi-grid allocator.
+// Unit and property tests for the allocation engine: the allocator against
+// the paper's verbatim LP and its constraint (3) (test oracles, see
+// oracle_models.h), the endpoint baseline, multi-resource requests,
+// bundles, and the hierarchical multi-grid allocator.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,8 +11,12 @@
 #include "alloc/endpoint.h"
 #include "alloc/hierarchical.h"
 #include "alloc/multi_resource.h"
+#include "lp/certify.h"
+#include "lp/solve.h"
 #include "util/error.h"
 #include "util/rng.h"
+
+#include "oracle_models.h"
 
 namespace agora::alloc {
 namespace {
@@ -153,35 +157,54 @@ TEST(Allocator, SetCapacitiesRefreshesReport) {
   EXPECT_NEAR(alloc.available_to(0), 10.0, 1e-12);
 }
 
+/// The paper-exact programs of consult (a, amount): the full compact model
+/// and the paper's verbatim model, each with constraint (3).
+std::vector<lp::Problem> exact_programs(const Allocator& alloc, std::size_t a, double amount) {
+  return {oracle::full_compact_model(alloc.system(), alloc.capacities(), a, amount, true),
+          oracle::paper_model(alloc.system(), alloc.capacities(), a, amount, true).problem};
+}
+
 TEST(Allocator, ExactModeFeasibleWithFullShares) {
-  // With 100% shares the paper's constraint (3) is satisfiable exactly.
+  // With 100% shares the paper's constraint (3) is satisfiable exactly: the
+  // paper-exact programs certify the allocator's optimum, and its plan drops
+  // C_A by exactly the request.
   AgreementSystem sys(2);
   sys.capacity = {0.0, 10.0};
   sys.relative(1, 0) = 1.0;
-  AllocatorOptions opts;
-  opts.equality = EqualityMode::Exact;
-  Allocator alloc(sys, opts);
+  Allocator alloc(sys);
   const AllocationPlan plan = alloc.allocate(0, 4.0);
   ASSERT_TRUE(plan.satisfied());
-  EXPECT_FALSE(plan.exact_mode_fell_back);
   EXPECT_NEAR(plan.capacity_after[0], alloc.capacities().capacity[0] - 4.0, 1e-7);
+  for (const lp::Problem& p : exact_programs(alloc, 0, 4.0)) {
+    const lp::SolveResult r = lp::solve(p);
+    ASSERT_EQ(r.status, lp::Status::Optimal);
+    EXPECT_TRUE(lp::Verifier().certify(p, r).certified);
+    EXPECT_NEAR(r.objective, plan.theta, 1e-7);
+  }
 }
 
 TEST(Allocator, ExactModeFallsBackWithPartialShares) {
   // Drawing over a 50% agreement cannot drop C_A by the full request, so
-  // the verbatim constraint set is infeasible; the allocator must fall
-  // back to the relaxed model and flag it.
-  AllocatorOptions opts;
-  opts.equality = EqualityMode::Exact;
-  Allocator alloc(two_node_donor(), opts);
+  // the verbatim constraint set is infeasible -- the paper-exact programs
+  // come back certified Infeasible -- while the allocator, which drops (3),
+  // grants the request.
+  Allocator alloc(two_node_donor());
   const AllocationPlan plan = alloc.allocate(0, 4.0);
   ASSERT_TRUE(plan.satisfied());
-  EXPECT_TRUE(plan.exact_mode_fell_back);
+  EXPECT_TRUE(plan.certified);
+  EXPECT_NEAR(plan.total_drawn(), 4.0, 1e-9);
+  for (const lp::Problem& p : exact_programs(alloc, 0, 4.0)) {
+    const lp::SolveResult r = lp::solve(p);
+    EXPECT_EQ(r.status, lp::Status::Infeasible);
+    const lp::Certificate cert = lp::Verifier().certify(p, r);
+    EXPECT_TRUE(cert.certified) << (cert.reject ? cert.reject : "");
+    EXPECT_EQ(cert.claim, lp::Certificate::Claim::Infeasible);
+  }
 }
 
 TEST(Allocator, RejectsABackendPreference) {
-  // The certified solve runs the revised engine; a backend preference would
-  // only take effect with certify off, so both allocators refuse it outright.
+  // The certified solve runs the revised engine; a backend preference could
+  // never take effect, so both allocators refuse it outright.
   AgreementSystem sys(2);
   sys.capacity = {0.0, 10.0};
   AllocatorOptions opts;
@@ -241,26 +264,7 @@ TEST(Allocator, ColdConsultIterationsDoNotGrowWithRingSize) {
   EXPECT_LE(at500, 1.25 * at100) << "n=100: " << at100 << " n=500: " << at500;
 }
 
-TEST(Allocator, PresolveProducesSameAnswer) {
-  AgreementSystem sys(3);
-  sys.capacity = {0.0, 10.0, 10.0};
-  sys.relative(1, 0) = 0.5;
-  sys.relative(2, 0) = 0.5;
-  AllocatorOptions plain, pre;
-  plain.solve.presolve = false;
-  pre.solve.presolve = true;
-  pre.formulation = Formulation::FullPaper;  // the formulation presolve helps
-  plain.formulation = Formulation::FullPaper;
-  Allocator a(sys, plain), b(sys, pre);
-  const AllocationPlan pa = a.allocate(0, 5.0);
-  const AllocationPlan pb = b.allocate(0, 5.0);
-  ASSERT_TRUE(pa.satisfied());
-  ASSERT_TRUE(pb.satisfied());
-  EXPECT_NEAR(pa.theta, pb.theta, 1e-6);
-  EXPECT_NEAR(pb.total_drawn(), 5.0, 1e-6);
-}
-
-// ------------------------------------------- compact vs full formulation ---
+// ------------------------------------------ compact vs the paper's model ---
 
 struct FormulationCase {
   std::uint64_t seed;
@@ -285,29 +289,30 @@ TEST_P(FormulationAgreement, CompactMatchesFullPaper) {
   }
   const std::size_t requester = rng.uniform_u32(static_cast<std::uint32_t>(n));
 
-  AllocatorOptions compact;
-  compact.formulation = Formulation::Compact;
-  AllocatorOptions full;
-  full.formulation = Formulation::FullPaper;
-  Allocator ac(sys, compact);
-  Allocator af(sys, full);
-
+  // The allocator's compact support model against the paper's verbatim
+  // model (the oracle), solved and certified on the same engine.
+  Allocator ac(sys);
   const double avail = ac.available_to(requester);
   const double x = avail * 0.6;
   const AllocationPlan pc = ac.allocate(requester, x);
-  const AllocationPlan pf = af.allocate(requester, x);
+  const oracle::PaperModel paper = oracle::paper_model(sys, ac.capacities(), requester, x);
+  const lp::SolveResult rf = lp::solve(paper.problem);
   ASSERT_TRUE(pc.satisfied());
-  ASSERT_TRUE(pf.satisfied());
+  ASSERT_EQ(rf.status, lp::Status::Optimal);
+  EXPECT_TRUE(lp::Verifier().certify(paper.problem, rf).certified);
+  const std::vector<double> df = paper.draw(sys, rf.x);
   // Optimal draws may differ (degenerate optima) but theta must agree and
   // both plans must move the full amount within entitlements.
-  EXPECT_NEAR(pc.theta, pf.theta, 1e-6);
+  EXPECT_NEAR(pc.theta, rf.x[paper.theta], 1e-6);
   EXPECT_NEAR(pc.total_drawn(), x, 1e-6);
-  EXPECT_NEAR(pf.total_drawn(), x, 1e-6);
+  double total = 0.0;
+  for (double d : df) total += d;
+  EXPECT_NEAR(total, x, 1e-6);
   for (std::size_t k = 0; k < n; ++k) {
     const double cap =
         k == requester ? sys.capacity[k] : ac.capacities().entitlement(k, requester);
     EXPECT_LE(pc.draw[k], cap + 1e-6);
-    EXPECT_LE(pf.draw[k], cap + 1e-6);
+    EXPECT_LE(df[k], cap + 1e-6);
   }
 }
 

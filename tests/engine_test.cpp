@@ -54,7 +54,6 @@ void expect_identical(const alloc::AllocationPlan& e, const alloc::AllocationPla
   EXPECT_TRUE(bitwise_equal(e.capacity_before, d.capacity_before));
   EXPECT_TRUE(bitwise_equal(e.capacity_after, d.capacity_after));
   EXPECT_EQ(e.lp_iterations, d.lp_iterations);
-  EXPECT_EQ(e.exact_mode_fell_back, d.exact_mode_fell_back);
   EXPECT_EQ(e.certified, d.certified);
   EXPECT_EQ(e.solver_fallbacks, d.solver_fallbacks);
 }
@@ -375,7 +374,6 @@ TEST(EngineCertify, CertificationStaysOnByDefault) {
   EngineOptions eopts;
   eopts.sink = obs::Sink::none();
   eopts.alloc.sink = obs::Sink::none();
-  EXPECT_TRUE(eopts.alloc.certify);  // engine inherits the allocator default
   eopts.threads = 2;
   EnforcementEngine eng(island_economy(2, 4, 0.25), eopts);
   const alloc::AllocationPlan plan = eng.consult(1, 3.0);

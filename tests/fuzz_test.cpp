@@ -19,6 +19,8 @@
 #include "trace/generator.h"
 #include "util/rng.h"
 
+#include "tableau_oracle.h"
+
 namespace agora {
 namespace {
 
@@ -133,14 +135,8 @@ TEST(RevisedSimplexStress, RefactorizationPathExercised) {
     }
     p.add_constraint(std::move(coeffs), lp::Relation::LessEqual, at_interior + 0.25);
   }
-  lp::SolveOptions rev_opts;
-  rev_opts.backend = lp::Backend::Revised;
-  rev_opts.presolve = false;  // the iteration-count assertion targets the raw solver
-  lp::SolveOptions tab_opts;
-  tab_opts.backend = lp::Backend::Tableau;
-  tab_opts.presolve = false;
-  const lp::SolveResult rev = lp::solve(p, rev_opts);
-  const lp::SolveResult tab = lp::solve(p, tab_opts);
+  const lp::SolveResult rev = lp::solve(p);
+  const lp::SolveResult tab = oracle::certified_tableau(p);
   ASSERT_EQ(rev.status, lp::Status::Optimal);
   ASSERT_EQ(tab.status, lp::Status::Optimal);
   EXPECT_GT(rev.iterations, lp::kRefactorInterval);

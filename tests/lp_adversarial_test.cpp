@@ -48,12 +48,11 @@ Problem two_var_corpus() {
 
 TEST(Adversarial, BealeCyclingExampleCertifiesOnBothEngines) {
   const Problem p = beale();
-  // Each engine alone, without presolve, so the anti-cycling of the engine
-  // itself is what gets certified.
+  // Each engine alone, so the anti-cycling of the engine itself is what
+  // gets certified.
   for (const Backend backend : {Backend::Revised, Backend::Tableau}) {
     SolveOptions o;
     o.backend = backend;
-    o.presolve = false;
     const SolveResult r = solve(p, o);
     const Certificate cert = Verifier(o.tols).certify(p, r);
     ASSERT_TRUE(cert.certified)
@@ -174,8 +173,7 @@ TEST(Adversarial, WorkspaceSequenceRecertifiesAcrossThousandPerturbations) {
   Problem p = two_var_corpus();
   SolvePipeline pl;
   SolveWorkspace ws;
-  SolveOptions fresh_opts;
-  fresh_opts.presolve = false;  // what a workspace solve runs
+  const SolveOptions fresh_opts;
   for (int i = 0; i <= 1000; ++i) {
     p.set_rhs(0, 4.0 + 0.002 * (i % 37));
     p.set_rhs(1, 3.0 + 0.01 * (i % 11));

@@ -21,12 +21,10 @@ namespace agora::lp {
 namespace {
 
 
-// The certification tests target raw solver answers, so presolve is off; the
-// presolve+postsolve path gets its own certification coverage elsewhere.
+// The certification tests target raw solver answers.
 SolveOptions backend_opts(Backend b) {
   SolveOptions o;
   o.backend = b;
-  o.presolve = false;
   return o;
 }
 SolveResult tableau_solve(const Problem& p) { return solve(p, backend_opts(Backend::Tableau)); }
@@ -343,23 +341,19 @@ TEST(Pipeline, HappyPathCertifiesOnFirstStage) {
 TEST(Pipeline, ExactModeProgramCertifiesOnTheRevisedEngine) {
   // Regression: phase 1 leaves an artificial of the demand equality basic at
   // zero level, and phase 2 used to let it grow, returning a point that
-  // violates k01 d0 + d1 = amount (with or without presolve, on either basis
-  // representation). The ratio test now pins such artificials at zero.
-  for (const bool presolve : {true, false}) {
-    for (const BasisRep basis : {BasisRep::SparseLu, BasisRep::DenseInverse}) {
-      PipelineOptions po;
-      po.solve.presolve = presolve;
-      po.solve.basis = basis;
-      SolvePipeline pl(po);
-      const PipelineResult pr = pl.solve(exact_mode_two_site());
-      ASSERT_TRUE(pr.certified()) << (pr.certificate.reject ? pr.certificate.reject : "")
-                                  << " presolve " << presolve << " " << to_string(basis);
-      EXPECT_EQ(pr.stage, PipelineStage::ColdRevised);
-      EXPECT_EQ(pr.fallbacks, 0u);
-      EXPECT_EQ(pl.stats().exhausted, 0u);
-      EXPECT_EQ(pl.stats().failures[static_cast<int>(PipelineStage::ColdRevised)], 0u);
-    }
+  // violates k01 d0 + d1 = amount (fresh or as a workspace solve). The
+  // ratio test now pins such artificials at zero.
+  SolvePipeline pl;
+  SolveWorkspace ws;
+  for (SolveWorkspace* w : {static_cast<SolveWorkspace*>(nullptr), &ws}) {
+    const PipelineResult pr = pl.solve(exact_mode_two_site(), w);
+    ASSERT_TRUE(pr.certified()) << (pr.certificate.reject ? pr.certificate.reject : "")
+                                << (w ? " workspace" : " fresh");
+    EXPECT_EQ(pr.stage, PipelineStage::ColdRevised);
+    EXPECT_EQ(pr.fallbacks, 0u);
   }
+  EXPECT_EQ(pl.stats().exhausted, 0u);
+  EXPECT_EQ(pl.stats().failures[static_cast<int>(PipelineStage::ColdRevised)], 0u);
 }
 
 TEST(Pipeline, UncertifiedAnswerIsExhausted) {
@@ -404,8 +398,8 @@ TEST(Pipeline, CertifiesInfeasibleAndUnboundedClaims) {
 }
 
 TEST(Pipeline, WorkspaceSolveCertifiesLikeAFreshOne) {
-  // A workspace solve skips presolve and repatches an rhs-only change, but
-  // is otherwise the cold solve: it certifies on the one stage and agrees
+  // A workspace solve repatches an rhs-only change, but is otherwise the
+  // cold solve: it certifies on the one stage and agrees
   // with a workspace-free solve of the same problem.
   SolvePipeline pl;
   Problem p = classic_min();

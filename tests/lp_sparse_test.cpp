@@ -1,16 +1,14 @@
 // lp_sparse_test.cpp -- the sparse LU basis path of the revised simplex.
 //
-// Three contracts under test:
+// Two contracts under test:
 //   1. SparseLu itself: after a solve, the factored basis (LU + eta file)
 //      must actually solve B x = b and B' y = c_B against the basis columns
 //      it claims to represent.
-//   2. Sparse-vs-dense differential fuzz: over random corpora (well- and
-//      ill-conditioned), the sparse-basis and dense-inverse backends must
-//      agree on status, both certify under lp::Verifier, and match
-//      objectives -- the basis representation is an implementation detail.
-//   3. Presolve round trip: solving with presolve on must produce answers
-//      (including reconstructed duals) that certify against the ORIGINAL
-//      problem and match the presolve-off solve.
+//   2. Revised-vs-tableau differential fuzz: over random corpora (well- and
+//      ill-conditioned), the sparse revised engine and the independent
+//      tableau must agree on status, certify under lp::Verifier, and match
+//      objectives (or, near singularity, match exact enumeration whenever
+//      they certify).
 // Plus the update-vs-refactorization property: long pivot sequences through
 // the eta file must land on the same answers as a residual-forced
 // refactorize-every-step run, and a guard for Bland's stable-pivot rule on
@@ -23,10 +21,8 @@
 
 #include "agree/capacity.h"
 #include "agree/topology.h"
-#include "full_compact_model.h"
 #include "lp/brute_force.h"
 #include "lp/certify.h"
-#include "lp/presolve.h"
 #include "lp/problem.h"
 #include "lp/solve.h"
 #include "lp/solve_pipeline.h"
@@ -35,20 +31,17 @@
 #include "lp/workspace.h"
 #include "util/rng.h"
 
+#include "oracle_models.h"
+#include "tableau_oracle.h"
+
 namespace agora::lp {
 namespace {
 
-SolveOptions sparse_opts() {
-  SolveOptions o;
-  o.backend = Backend::Revised;
-  o.basis = BasisRep::SparseLu;
-  o.presolve = false;
-  return o;
-}
+SolveOptions sparse_opts() { return SolveOptions{}; }
 
-SolveOptions dense_opts() {
-  SolveOptions o = sparse_opts();
-  o.basis = BasisRep::DenseInverse;
+SolveOptions tableau_opts() {
+  SolveOptions o;
+  o.backend = Backend::Tableau;
   return o;
 }
 
@@ -141,9 +134,9 @@ TEST(SparseLu, ReportsFillInAndConditionTelemetry) {
   EXPECT_GT(r.stats.refactorizations, 0u);
 }
 
-// --------------------------------------------- sparse vs dense, well-cond ---
+// ------------------------------------------ revised vs tableau, well-cond ---
 
-TEST(SparseDense, DifferentialFuzzAgreesAndCertifies) {
+TEST(SparseTableau, DifferentialFuzzAgreesAndCertifies) {
   Pcg32 rng(555);
   std::size_t optimal_seen = 0;
   for (int trial = 0; trial < 120; ++trial) {
@@ -151,27 +144,24 @@ TEST(SparseDense, DifferentialFuzzAgreesAndCertifies) {
     const std::size_t m = 1 + rng.uniform_u32(8);
     const Problem p = random_lp(rng, n, m);
     const SolveResult sp = lp::solve(p, sparse_opts());
-    const SolveResult de = lp::solve(p, dense_opts());
-    ASSERT_EQ(sp.status, de.status) << "trial " << trial;
+    const SolveResult tab = oracle::certified_tableau(p);
+    ASSERT_EQ(sp.status, tab.status) << "trial " << trial;
     if (sp.status != Status::Optimal) continue;
     ++optimal_seen;
-    EXPECT_NEAR(sp.objective, de.objective, 1e-7 * (1.0 + std::fabs(de.objective)))
+    EXPECT_NEAR(sp.objective, tab.objective, 1e-7 * (1.0 + std::fabs(tab.objective)))
         << "trial " << trial;
     Verifier v;
     const Certificate cs = v.certify(p, sp);
-    const Certificate cd = v.certify(p, de);
     EXPECT_TRUE(cs.certified) << "trial " << trial << " sparse: "
                               << (cs.reject ? cs.reject : "");
-    EXPECT_TRUE(cd.certified) << "trial " << trial << " dense: "
-                              << (cd.reject ? cd.reject : "");
   }
   EXPECT_GE(optimal_seen, 20u);  // the corpus must not be degenerate
 }
 
 // ---------------------------------------------- ill-conditioned corpora -----
 
-TEST(SparseDense, IllConditionedCorpusNeverSilentlyWrong) {
-  // Coefficients spanning ~6 orders of magnitude. Sparse and dense may
+TEST(SparseTableau, IllConditionedCorpusNeverSilentlyWrong) {
+  // Coefficients spanning ~6 orders of magnitude. The two engines may
   // legitimately disagree near singularity; the contract is weaker but
   // checkable: any answer that certifies must match exact enumeration.
   Pcg32 rng(31001);
@@ -182,7 +172,7 @@ TEST(SparseDense, IllConditionedCorpusNeverSilentlyWrong) {
     const Problem p = random_lp(rng, n, m, 3.0);
     const SolveResult exact = brute_force_solve(p);
     for (const bool sparse : {true, false}) {
-      const SolveResult r = lp::solve(p, sparse ? sparse_opts() : dense_opts());
+      const SolveResult r = lp::solve(p, sparse ? sparse_opts() : tableau_opts());
       Verifier v;
       const Certificate cert = v.certify(p, r);
       if (!cert.certified) continue;
@@ -191,7 +181,7 @@ TEST(SparseDense, IllConditionedCorpusNeverSilentlyWrong) {
         ASSERT_EQ(exact.status, Status::Optimal) << "trial " << trial;
         EXPECT_NEAR(r.objective, exact.objective,
                     1e-5 * (1.0 + std::fabs(exact.objective)))
-            << "trial " << trial << (sparse ? " sparse" : " dense");
+            << "trial " << trial << (sparse ? " sparse" : " tableau");
       } else if (cert.claim == Certificate::Claim::Infeasible) {
         EXPECT_EQ(exact.status, Status::Infeasible) << "trial " << trial;
       }
@@ -230,18 +220,18 @@ TEST(SparseLu, EtaFileMatchesRefactorizeEveryStep) {
   SolveOptions eager_opts = sparse_opts();
   eager_opts.tols.refactor_residual = 0.0;
   const SolveResult eager = lp::solve(p, eager_opts);
-  const SolveResult dense = lp::solve(p, dense_opts());
+  const SolveResult ref = oracle::certified_tableau(p);
 
   ASSERT_EQ(lazy.status, Status::Optimal);
   ASSERT_EQ(eager.status, Status::Optimal);
-  ASSERT_EQ(dense.status, Status::Optimal);
+  ASSERT_EQ(ref.status, Status::Optimal);
   EXPECT_GT(lazy.iterations, kRefactorInterval);  // eta file really exercised
   EXPECT_GT(lazy.stats.max_eta_count, 0u);
   EXPECT_LE(lazy.stats.max_eta_count, kRefactorInterval);
   EXPECT_GT(eager.stats.residual_refactorizations, lazy.stats.residual_refactorizations);
-  const double scale = 1.0 + std::fabs(dense.objective);
-  EXPECT_NEAR(lazy.objective, dense.objective, 1e-6 * scale);
-  EXPECT_NEAR(eager.objective, dense.objective, 1e-6 * scale);
+  const double scale = 1.0 + std::fabs(ref.objective);
+  EXPECT_NEAR(lazy.objective, ref.objective, 1e-6 * scale);
+  EXPECT_NEAR(eager.objective, ref.objective, 1e-6 * scale);
   Verifier v;
   EXPECT_TRUE(v.certify(p, lazy).certified);
   EXPECT_TRUE(v.certify(p, eager).certified);
@@ -283,91 +273,6 @@ TEST(SparseLu, ReusedWorkspaceSequencesMatchFreshSolves) {
   }
 }
 
-// ------------------------------------------------ presolve round tripping ---
-
-TEST(Presolve, RoundTripCertifiesAgainstOriginalProblem) {
-  // Random corpora seeded with presolve bait -- fixed variables, singleton
-  // rows, empty rows, zero columns -- solved with presolve on vs off. The
-  // presolved answer (solution AND reconstructed duals) must certify
-  // against the original, unreduced problem.
-  Pcg32 rng(424242);
-  std::size_t reduced_instances = 0;
-  for (int trial = 0; trial < 50; ++trial) {
-    const std::size_t n = 3 + rng.uniform_u32(5);
-    Problem p(rng.next_double() < 0.5 ? Sense::Minimize : Sense::Maximize);
-    for (std::size_t j = 0; j < n; ++j) {
-      if (rng.next_double() < 0.2) {
-        const double v = rng.uniform(-1.0, 1.0);
-        p.add_variable("f" + std::to_string(j), v, v, rng.uniform(-2.0, 2.0));
-      } else {
-        const double lo = rng.uniform(-2.0, 0.5);
-        p.add_variable("x" + std::to_string(j), lo, lo + rng.uniform(0.5, 3.0),
-                       rng.uniform(-2.0, 2.0));
-      }
-    }
-    const std::size_t m = 2 + rng.uniform_u32(4);
-    for (std::size_t i = 0; i < m; ++i) {
-      std::vector<double> coeffs(n, 0.0);
-      const double shape = rng.next_double();
-      if (shape < 0.25) {
-        // Singleton row.
-        coeffs[rng.uniform_u32(static_cast<std::uint32_t>(n))] = rng.uniform(0.5, 2.0);
-      } else if (shape < 0.32) {
-        // Empty row (feasible or not -- presolve must decide it).
-      } else {
-        for (auto& c : coeffs)
-          if (rng.next_double() < 0.6) c = rng.uniform(-1.5, 1.5);
-      }
-      const double pick = rng.next_double();
-      const Relation rel = pick < 0.25   ? Relation::Equal
-                           : pick < 0.6  ? Relation::GreaterEqual
-                                         : Relation::LessEqual;
-      p.add_constraint(std::move(coeffs), rel, rng.uniform(-2.0, 2.0));
-    }
-
-    SolveOptions off = sparse_opts();
-    SolveOptions on = sparse_opts();
-    on.presolve = true;
-    const SolveResult plain = lp::solve(p, off);
-    const SolveResult pre = lp::solve(p, on);
-    ASSERT_EQ(plain.status, pre.status) << "trial " << trial;
-    const PresolveOutcome outcome = presolve(p);
-    if (outcome.decided.has_value() ||
-        outcome.reduced.num_variables() < p.num_variables() ||
-        outcome.reduced.num_constraints() < p.num_constraints())
-      ++reduced_instances;
-    if (plain.status != Status::Optimal) continue;
-    EXPECT_NEAR(plain.objective, pre.objective, 1e-6 * (1.0 + std::fabs(plain.objective)))
-        << "trial " << trial;
-    ASSERT_EQ(pre.x.size(), p.num_variables()) << "trial " << trial;
-    Verifier v;
-    const Certificate cert = v.certify(p, pre);
-    EXPECT_TRUE(cert.certified) << "trial " << trial << ": "
-                                << (cert.reject ? cert.reject : "");
-    if (!pre.duals.empty()) {
-      EXPECT_FALSE(cert.primal_only) << "trial " << trial;
-    }
-  }
-  // The corpus is built to actually trigger reductions, not vacuously pass.
-  EXPECT_GE(reduced_instances, 30u);
-}
-
-TEST(Presolve, OffPathMatchesDirectSolveExactly) {
-  // presolve = false must be bit-identical to the raw backend call -- the
-  // unified entry point may not perturb the historical path.
-  Pcg32 rng(99);
-  for (int trial = 0; trial < 10; ++trial) {
-    const Problem p = random_lp(rng, 6, 5);
-    const SolveResult a = lp::solve(p, sparse_opts());
-    const SolveResult b = lp::solve(p, sparse_opts());
-    ASSERT_EQ(a.status, b.status);
-    EXPECT_EQ(a.objective, b.objective);
-    EXPECT_EQ(a.x, b.x);
-    EXPECT_EQ(a.duals, b.duals);
-    EXPECT_EQ(a.iterations, b.iterations);
-  }
-}
-
 // ---------------------------------------------------------- Bland pivots ---
 
 TEST(BlandPivots, ColdFullModelOnALargeBandedRingCertifiesFirstTime) {
@@ -389,7 +294,7 @@ TEST(BlandPivots, ColdFullModelOnALargeBandedRingCertifiesFirstTime) {
   const std::size_t a = 68;
   const Problem p = oracle::full_compact_model(sys, rep, a, rep.capacity[a] * 0.525);
   SolvePipeline pipeline;
-  SolveWorkspace ws;  // a workspace solve is cold and never presolved
+  SolveWorkspace ws;  // a workspace solve is cold
   const PipelineResult r = pipeline.solve(p, &ws);
   ASSERT_TRUE(r.certified());
   EXPECT_EQ(r.result.status, Status::Optimal);

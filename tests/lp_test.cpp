@@ -1,13 +1,11 @@
 // Unit tests for the LP substrate: standard-form conversion, both simplex
-// implementations on known problems, presolve, and the model builder.
+// implementations on known problems, and the model builder.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "lp/brute_force.h"
-#include "lp/certify.h"
 #include "lp/model_builder.h"
-#include "lp/presolve.h"
 #include "lp/problem.h"
 #include "lp/solve.h"
 #include "lp/standard_form.h"
@@ -205,9 +203,8 @@ Problem classic_lp() {
   return p;
 }
 
-// Backend/basis configurations exercised by the typed suite below. Every
-// known-LP test runs against the tableau solver, the revised solver with the
-// dense explicit inverse, and the revised solver with the sparse LU basis.
+// Backends exercised by the typed suite below: every known-LP test runs
+// against the tableau solver and the revised solver.
 struct TableauConfig {
   static SolveOptions options() {
     SolveOptions o;
@@ -215,21 +212,8 @@ struct TableauConfig {
     return o;
   }
 };
-struct RevisedDenseConfig {
-  static SolveOptions options() {
-    SolveOptions o;
-    o.backend = Backend::Revised;
-    o.basis = BasisRep::DenseInverse;
-    return o;
-  }
-};
 struct RevisedSparseConfig {
-  static SolveOptions options() {
-    SolveOptions o;
-    o.backend = Backend::Revised;
-    o.basis = BasisRep::SparseLu;
-    return o;
-  }
+  static SolveOptions options() { return SolveOptions{}; }
 };
 
 template <typename Config>
@@ -240,8 +224,7 @@ class SolverTest : public ::testing::Test {
   } solver;
 };
 
-using SolverTypes =
-    ::testing::Types<TableauConfig, RevisedDenseConfig, RevisedSparseConfig>;
+using SolverTypes = ::testing::Types<TableauConfig, RevisedSparseConfig>;
 TYPED_TEST_SUITE(SolverTest, SolverTypes);
 
 TYPED_TEST(SolverTest, ClassicMaximization) {
@@ -379,107 +362,6 @@ TEST(BruteForce, RefusesHugeProblems) {
     p.add_constraint(std::move(c), Relation::LessEqual, 10.0);
   }
   EXPECT_THROW(brute_force_solve(p), PreconditionError);
-}
-
-// -------------------------------------------------------------- Presolve ---
-
-TEST(Presolve, SubstitutesFixedVariables) {
-  // The Equal row keeps dual fixing out of the picture, so substitution is
-  // the only reduction that fires: x = 3 folds into the rhs and the row
-  // survives with the remaining two variables.
-  Problem p;
-  p.add_variable("x", 3.0, 3.0, 1.0);  // fixed
-  p.add_variable("y", 0.0, kInfinity, 1.0);
-  p.add_variable("z", 0.0, kInfinity, 1.0);
-  p.add_constraint({1.0, 1.0, 1.0}, Relation::Equal, 10.0);
-  const PresolveOutcome out = presolve(p);
-  ASSERT_FALSE(out.decided.has_value());
-  EXPECT_EQ(out.reduced.num_variables(), 2u);
-  EXPECT_EQ(out.reduced.num_constraints(), 1u);
-  EXPECT_DOUBLE_EQ(out.reduced.constraint(0).rhs, 7.0);
-  const auto x = out.postsolve({5.0, 2.0});
-  EXPECT_DOUBLE_EQ(x[0], 3.0);
-  EXPECT_DOUBLE_EQ(x[1], 5.0);
-  EXPECT_DOUBLE_EQ(x[2], 2.0);
-}
-
-TEST(Presolve, FoldsSingletonRows) {
-  Problem p;
-  p.add_variable("x", 0.0, kInfinity, 1.0);
-  p.add_variable("y", 0.0, kInfinity, 1.0);
-  p.add_constraint({2.0, 0.0}, Relation::LessEqual, 6.0);  // x <= 3
-  p.add_constraint({1.0, 1.0}, Relation::Equal, 2.0);      // blocks dual fixing
-  const PresolveOutcome out = presolve(p);
-  ASSERT_FALSE(out.decided.has_value());
-  EXPECT_EQ(out.reduced.num_constraints(), 1u);
-  EXPECT_DOUBLE_EQ(out.reduced.upper_bound(0), 3.0);
-}
-
-TEST(Presolve, DualFixingDecidesCostDominatedProblems) {
-  // min x + y over x + y <= 10: both columns are down-safe with positive
-  // reduced cost, so dual fixing pins them at their lower bounds and the
-  // whole problem is decided without a simplex iteration.
-  Problem p;
-  p.add_variable("x", 0.0, kInfinity, 1.0);
-  p.add_variable("y", 0.0, kInfinity, 1.0);
-  p.add_constraint({1.0, 1.0}, Relation::LessEqual, 10.0);
-  const PresolveOutcome out = presolve(p);
-  ASSERT_TRUE(out.decided.has_value());
-  EXPECT_EQ(out.decided->status, Status::Optimal);
-  EXPECT_DOUBLE_EQ(out.decided->objective, 0.0);
-  Verifier v;
-  EXPECT_TRUE(v.certify(p, *out.decided).certified);
-}
-
-TEST(Presolve, DetectsTrivialInfeasibility) {
-  Problem p;
-  p.add_variable("x", 0.0, 1.0, 1.0);
-  p.add_constraint({1.0}, Relation::GreaterEqual, 5.0);  // x >= 5 vs x <= 1
-  const PresolveOutcome out = presolve(p);
-  ASSERT_TRUE(out.decided.has_value());
-  EXPECT_EQ(out.decided->status, Status::Infeasible);
-}
-
-TEST(Presolve, DecidesFullyFixedProblems) {
-  Problem p;
-  p.add_variable("x", 2.0, 2.0, 3.0);
-  const PresolveOutcome out = presolve(p);
-  ASSERT_TRUE(out.decided.has_value());
-  EXPECT_EQ(out.decided->status, Status::Optimal);
-  EXPECT_DOUBLE_EQ(out.decided->objective, 6.0);
-}
-
-TEST(Presolve, SolveWithPresolveMatchesDirect) {
-  const Problem p = classic_lp();
-  SolveOptions direct_opts;
-  direct_opts.backend = Backend::Tableau;
-  direct_opts.presolve = false;
-  const SolveResult direct = lp::solve(p, direct_opts);
-  SolveOptions via_opts = direct_opts;
-  via_opts.presolve = true;
-  const SolveResult via = lp::solve(p, via_opts);
-  ASSERT_EQ(via.status, Status::Optimal);
-  EXPECT_NEAR(via.objective, direct.objective, 1e-7);
-}
-
-TEST(Presolve, PostsolveReconstructsDuals) {
-  // x <= 3 singleton row is folded away; postsolve must reconstruct its dual
-  // so the reduced answer still certifies against the original problem.
-  Problem p(Sense::Maximize);
-  p.add_variable("x", 0, kInfinity, 2.0);
-  p.add_variable("y", 0, kInfinity, 1.0);
-  p.add_constraint({1.0, 0.0}, Relation::LessEqual, 3.0);  // singleton
-  p.add_constraint({1.0, 1.0}, Relation::LessEqual, 5.0);
-  SolveOptions opts;
-  opts.presolve = true;
-  const SolveResult r = lp::solve(p, opts);
-  ASSERT_EQ(r.status, Status::Optimal);
-  EXPECT_NEAR(r.objective, 8.0, 1e-7);  // x=3, y=2
-  ASSERT_EQ(r.duals.size(), 2u);
-  Verifier v;
-  const Certificate cert = v.certify(p, r);
-  EXPECT_TRUE(cert.certified) << cert.reject;
-  EXPECT_FALSE(cert.primal_only);
 }
 
 // ---------------------------------------------------------- ModelBuilder ---

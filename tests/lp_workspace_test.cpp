@@ -4,10 +4,10 @@
 //
 // Invariant under test: a workspace carries scratch and the last standard
 // form (for the O(rows) rhs repatch), never a basis, so a workspace solve is
-// bit-identical to a fresh presolve-off solve. That must hold over fuzzed
+// bit-identical to a fresh solve. That must hold over fuzzed
 // bound/rhs perturbation sequences, across switches between matrices that
 // share one workspace, and through an infeasible -> feasible recovery; the
-// fresh answers themselves must agree with the tableau and (on tiny
+// fresh answers themselves must agree with the certified tableau and (on tiny
 // instances) brute-force vertex enumeration. One layer up, the allocator's
 // consults must agree with an lp::solve of the same LP built from scratch.
 // The LpWarmstart / AllocatorWarmstart suite names predate cold-only solves.
@@ -24,6 +24,7 @@
 #include "lp/brute_force.h"
 #include "lp/model_builder.h"
 #include "lp/solve.h"
+#include "tableau_oracle.h"
 #include "util/rng.h"
 
 namespace agora::lp {
@@ -32,23 +33,14 @@ namespace {
 constexpr double kTol = 1e-7;
 
 /// Thin shims over lp::solve so the fuzz loops below read like the solver
-/// calls they compare. Presolve is off: a workspace solve never presolves,
-/// so the fresh solve it must reproduce is the presolve-off one.
+/// calls they compare. The tableau reference is certified before use.
 struct RevisedRunner {
   SolveResult solve(const Problem& p, SolveWorkspace* ws = nullptr) const {
-    SolveOptions o;
-    o.backend = Backend::Revised;
-    o.presolve = false;
-    return lp::solve(p, o, ws);
+    return lp::solve(p, SolveOptions{}, ws);
   }
 };
 struct TableauRunner {
-  SolveResult solve(const Problem& p) const {
-    SolveOptions o;
-    o.backend = Backend::Tableau;
-    o.presolve = false;
-    return lp::solve(p, o);
-  }
+  SolveResult solve(const Problem& p) const { return oracle::certified_tableau(p); }
 };
 
 /// The allocation-LP shape used by the amortized path: n draws in
@@ -220,21 +212,16 @@ lp::Problem compact_lp(const Allocator& al, std::size_t a, double amount) {
   return std::move(mb.problem());
 }
 
-/// Check one consult against two independent oracles on the rebuilt LP:
-/// the presolved revised solve and the direct tableau solve.
+/// Check one consult against two independent oracles on the rebuilt full
+/// LP: a fresh revised solve and the certified tableau solve.
 void expect_matches_oracles(const Allocator& al, std::size_t a, double amount,
                             const AllocationPlan& plan, const std::string& tag) {
   const lp::Problem p = compact_lp(al, a, amount);
-  lp::SolveOptions tableau;
-  tableau.backend = lp::Backend::Tableau;
-  tableau.presolve = false;
-  for (const lp::SolveOptions& o : {lp::SolveOptions{}, tableau}) {
-    const lp::SolveResult r = lp::solve(p, o);
-    ASSERT_EQ(r.status == lp::Status::Optimal, plan.satisfied())
-        << tag << " backend " << lp::to_string(o.backend);
+  for (const lp::SolveResult& r : {lp::solve(p), oracle::certified_tableau(p)}) {
+    ASSERT_EQ(r.status == lp::Status::Optimal, plan.satisfied()) << tag;
     if (plan.satisfied()) {
       EXPECT_TRUE(plan.certified) << tag;
-      EXPECT_NEAR(r.objective, plan.theta, 1e-7) << tag << " " << lp::to_string(o.backend);
+      EXPECT_NEAR(r.objective, plan.theta, 1e-7) << tag;
     }
   }
 }

@@ -11,7 +11,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -37,6 +39,12 @@ agree::AgreementSystem small_economy(std::size_t n = 6, double share = 0.15) {
   return sys;
 }
 
+ClientOptions loopback_client(std::uint16_t port) {
+  ClientOptions c;
+  c.endpoints = {Endpoint{"", port}};
+  return c;
+}
+
 struct Harness {
   agree::AgreementSystem sys;
   engine::EnforcementEngine engine;
@@ -55,11 +63,43 @@ struct Harness {
     if (!st.ok()) throw std::runtime_error("service start failed: " + st.to_string());
   }
 
-  ClientOptions client_options() const {
-    ClientOptions c;
-    c.endpoints = {Endpoint{"", service.port()}};
-    return c;
+  ClientOptions client_options() const { return loopback_client(service.port()); }
+};
+
+/// A direct-allocator backend whose allocate() parks until open(). The
+/// service fronts a non-engine backend with one pump thread, so while the
+/// gate is shut that single worker is provably busy and nothing leaves the
+/// in-flight window.
+class GatedBackend : public alloc::AllocatorBase {
+ public:
+  explicit GatedBackend(agree::AgreementSystem sys) : inner_(std::move(sys)) {}
+
+  void open() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      open_ = true;
+    }
+    cv_.notify_all();
   }
+
+  std::size_t size() const override { return inner_.size(); }
+  const agree::AgreementSystem& system() const override { return inner_.system(); }
+  alloc::AllocationPlan allocate(std::size_t a, double amount) const override {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return open_; });
+    lock.unlock();
+    return inner_.allocate(a, amount);
+  }
+  double available_to(std::size_t a) const override { return inner_.available_to(a); }
+  void apply(const alloc::AllocationPlan& plan) override { inner_.apply(plan); }
+  void release(const std::vector<double>& give_back) override { inner_.release(give_back); }
+  void set_capacities(std::span<const double> v) override { inner_.set_capacities(v); }
+
+ private:
+  alloc::Allocator inner_;
+  mutable std::mutex mu_;
+  mutable std::condition_variable cv_;
+  bool open_ = false;
 };
 
 /// Blocking read of exactly one frame from a raw socket, with timeout.
@@ -150,20 +190,33 @@ TEST(NetService, PingAndInfoWork) {
 // --------------------------------------------------------------- shedding ---
 
 TEST(NetService, OverloadShedsExplicitlyWithRetryAfter) {
-  // A tiny queue and in-flight window in front of a single-threaded engine:
+  // A tiny queue and in-flight window in front of a single backend worker:
   // a burst from several clients MUST shed some requests with unavailable +
-  // a retry hint, and every request still gets a definite answer.
+  // a retry hint, and every request still gets a definite answer. The
+  // worker is held until the service has shed, so the overload does not
+  // depend on scheduling: the first consult parks in the worker, the next
+  // two fill the queue, and the fourth outstanding one is shed.
   ServiceOptions sopts;
   sopts.max_queue = 2;
   sopts.max_inflight = 1;
-  Harness h(sopts, /*threads=*/1);
+  GatedBackend backend(small_economy());
+  AgoraService service(backend, sopts);
+  ASSERT_TRUE(service.start().ok());
+  std::thread opener([&] {
+    // Open once the service has shed (or after 10 s, leaving the shed
+    // assertions below to fail rather than hanging the suite).
+    const auto give_up = Clock::now() + std::chrono::seconds(10);
+    while (service.stats().shed_queue == 0 && Clock::now() < give_up)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    backend.open();
+  });
 
   constexpr int kClients = 4, kPerClient = 50;
   std::atomic<std::uint64_t> definite{0}, shed{0}, hinted{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < kClients; ++t) {
     threads.emplace_back([&, t] {
-      ClientOptions copt = h.client_options();
+      ClientOptions copt = loopback_client(service.port());
       copt.max_attempts = 1;  // observe the shed itself, not the retry
       copt.seed = static_cast<std::uint64_t>(t) + 1;
       Client client(copt);
@@ -189,8 +242,9 @@ TEST(NetService, OverloadShedsExplicitlyWithRetryAfter) {
     });
   }
   for (auto& t : threads) t.join();
+  opener.join();
   EXPECT_EQ(definite.load(), kClients * kPerClient) << "a request was lost";
-  const ServiceStats s = h.service.stats();
+  const ServiceStats s = service.stats();
   // Under 4 clients hammering a queue of 2 with one in-flight slot the
   // service MUST shed, and shed replies carry a retry hint. (shed counted
   // client-side may also include client-local verdicts, so only the

@@ -20,11 +20,13 @@
 #include "agree/topology.h"
 #include "alloc/allocator.h"
 #include "alloc/support_model.h"
-#include "full_compact_model.h"
 #include "lp/certify.h"
 #include "lp/solve.h"
 #include "lp/solve_pipeline.h"
 #include "util/rng.h"
+
+#include "oracle_models.h"
+#include "tableau_oracle.h"
 
 namespace agora {
 namespace {
@@ -51,8 +53,6 @@ agree::AgreementSystem random_system(Pcg32& rng, std::size_t n) {
 }
 
 TEST(SupportModel, PlansMatchTheFullCompactModel) {
-  lp::SolveOptions tableau;
-  tableau.backend = lp::Backend::Tableau;
   std::size_t consults = 0, satisfied = 0, insufficient = 0, partial_support = 0;
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     Pcg32 rng(seed * 7919);
@@ -68,8 +68,7 @@ TEST(SupportModel, PlansMatchTheFullCompactModel) {
                                                             amount);
         // The tableau is the oracle: an engine independent of the revised
         // one the allocator runs, and its answer is itself certified.
-        const lp::SolveResult want = lp::solve(full, tableau);
-        ASSERT_TRUE(lp::Verifier().certify(full, want).certified) << tag;
+        const lp::SolveResult want = oracle::certified_tableau(full);
         ++consults;
         std::size_t support = 0;
         for (std::size_t k = 0; k < n; ++k)
@@ -110,7 +109,7 @@ TEST(SupportModel, FullModelAtFullAvailabilityCertifiesOnTheRevisedEngine) {
   // FULL model of requester 1 asking for all it can get used to come back
   // from the revised engine with theta = 0 and the demand row violated by
   // the whole amount (a zero-level artificial grew in phase 2). It must
-  // certify on the one stage, presolved or as a workspace solve.
+  // certify on the one stage, fresh or as a workspace solve.
   Pcg32 rng(2 * 7919);
   const std::size_t n = 2 + rng.uniform_u32(11);
   const alloc::Allocator al(random_system(rng, n));

@@ -3,16 +3,16 @@
 
 Usage: bench_engine_json.py <scale_shards.json> <scale_hotpath.json> <out.json>
 
-scale_shards (shard-count sweep) and scale_hotpath (plan-cache / fast-path
-sweep, DESIGN.md section 13) each write a standalone JSON fragment; this
+scale_shards (shard-count sweep) and scale_hotpath (plan-cache sweep,
+DESIGN.md section 13) each write a standalone JSON fragment; this
 script nests them under a schema-versioned top level so the repo tracks one
 engine bench file. Only the Python standard library is used.
 
 The acceptance gates are re-checked here so a bad merge can't slip into the
 tracked file:
-  * hot path (PR 7): certified_grant_pct must be 100 and the cache speedup
-    over the baseline phase must be >= 10x;
-  * federation (PR 9): on the single-component sweep, federated@8-shards
+  * hot path: certified_grant_pct must be 100 and the cache speedup over
+    the baseline phase must be >= 10x;
+  * federation: on the single-component sweep, federated@8-shards
     must beat federated@1-shard by >= 3x with NO full-replica fallback
     (federated true, replicated false at every threads>1 point), every
     grant certified, and a finite measured optimality gap recorded.
@@ -63,7 +63,7 @@ def main(argv):
         raise SystemExit("single_component sweep recorded no federated optimality gap")
 
     doc = {
-        "schema": "agora-bench-engine/3",
+        "schema": "agora-bench-engine/4",
         "scale_shards": shards,
         "scale_hotpath": hotpath,
     }

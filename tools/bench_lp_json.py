@@ -10,11 +10,14 @@ type the benchmarks were compiled with (Google Benchmark's own context only
 knows its library's build type). For every benchmark we keep the iteration
 count, ns/solve (real time) and -- where the benchmark reports it --
 allocations and LP pivots per solve. micro_lp's LPSCALE sweep lines (one
-per n x backend x model configuration, plus the closing speedup_n100 line) are
-parsed into a "scaling" block, and the micro_certify line (CERTIFY
-overhead_pct=... certified_solves=... fallbacks=... uncertified_grants=...)
-into a "certify" block, so all acceptance metrics are recorded alongside
-the timings.
+per n x model configuration, plus the closing support_over_full_n100 line)
+are parsed into a "scaling" block, and the micro_certify line (CERTIFY
+overhead_pct=... certified_solves=... fallbacks=... uncertified_grants=...
+solve_seconds=... certify_seconds=...) into a "certify" block, so all
+acceptance metrics are recorded alongside the timings. The gates are
+re-checked here so a bad run cannot slip into the tracked file: every
+scaling point certified, support/full consults/s >= 10x at n = 100, and
+certification overhead <= 10% of the solve time it checks.
 """
 
 import json
@@ -46,7 +49,7 @@ def parse_lpscale(path):
         text = f.read()
     points = []
     for m in re.finditer(
-        r"LPSCALE n=(\d+) backend=(\S+) model=(\S+) certified=(\d)"
+        r"LPSCALE n=(\d+) model=(\S+) certified=(\d)"
         r" consults_per_s=(\S+) iterations=(\d+) basis_nnz=(\d+) lu_nnz=(\d+)"
         r" fill_ratio=(\S+) refactorizations=(\d+) max_eta=(\d+)",
         text,
@@ -54,22 +57,28 @@ def parse_lpscale(path):
         points.append(
             {
                 "n": int(m.group(1)),
-                "backend": m.group(2),
-                "model": m.group(3),
-                "certified": bool(int(m.group(4))),
-                "consults_per_s": float(m.group(5)),
-                "iterations": int(m.group(6)),
-                "basis_nnz": int(m.group(7)),
-                "lu_nnz": int(m.group(8)),
-                "fill_ratio": float(m.group(9)),
-                "refactorizations": int(m.group(10)),
-                "max_eta": int(m.group(11)),
+                "model": m.group(2),
+                "certified": bool(int(m.group(3))),
+                "consults_per_s": float(m.group(4)),
+                "iterations": int(m.group(5)),
+                "basis_nnz": int(m.group(6)),
+                "lu_nnz": int(m.group(7)),
+                "fill_ratio": float(m.group(8)),
+                "refactorizations": int(m.group(9)),
+                "max_eta": int(m.group(10)),
             }
         )
-    speed = re.search(r"LPSCALE speedup_n100=(\S+)", text)
-    if not points or not speed:
+    ratio = re.search(r"LPSCALE support_over_full_n100=(\S+)", text)
+    if not points or not ratio:
         raise SystemExit(f"no LPSCALE sweep lines found in {path}")
-    return {"points": points, "speedup_n100": float(speed.group(1))}
+    for p in points:
+        if not p["certified"]:
+            raise SystemExit(f"LPSCALE n={p['n']} model={p['model']} did not certify")
+    support_over_full = float(ratio.group(1))
+    if support_over_full < 10.0:
+        raise SystemExit(
+            f"support/full consults/s at n=100 is {support_over_full:.2f}x (< 10x)")
+    return {"points": points, "support_over_full_n100": support_over_full}
 
 
 def parse_certify(path):
@@ -77,17 +86,26 @@ def parse_certify(path):
         text = f.read()
     m = re.search(
         r"CERTIFY overhead_pct=(\S+) certified_solves=(\d+)"
-        r" fallbacks=(\d+) uncertified_grants=(\d+)",
+        r" fallbacks=(\d+) uncertified_grants=(\d+)"
+        r" solve_seconds=(\S+) certify_seconds=(\S+)",
         text,
     )
     if not m:
         raise SystemExit(f"no CERTIFY summary line found in {path}")
-    return {
+    out = {
         "certify_overhead_pct": float(m.group(1)),
         "certified_solves": int(m.group(2)),
         "fallbacks": int(m.group(3)),
         "uncertified_grants": int(m.group(4)),
+        "solve_seconds": float(m.group(5)),
+        "certify_seconds": float(m.group(6)),
     }
+    if out["uncertified_grants"] != 0:
+        raise SystemExit("micro_certify recorded uncertified grants")
+    if out["certify_overhead_pct"] > 10.0:
+        raise SystemExit(
+            f"certification overhead {out['certify_overhead_pct']:.2f}% exceeds 10%")
+    return out
 
 
 def main(argv):
@@ -96,7 +114,7 @@ def main(argv):
     lp_benches, context = load_benchmarks(argv[2])
     certify_benches, _ = load_benchmarks(argv[4])
     doc = {
-        "schema": "agora-bench-lp/6",
+        "schema": "agora-bench-lp/7",
         "build_type": argv[1],
         "num_cpus": context.get("num_cpus", 0),
         "benchmarks": lp_benches + certify_benches,

@@ -23,8 +23,8 @@ cmake --build build -j
 # (ill-conditioned pivoting, one workspace reused across changing problem
 # shapes, and the sparse LU's bucketed pivot search / eta-file replay --
 # index-heavy code where out-of-bounds reads and UB would hide), plus the
-# allocator property sweep (every random system's exact and relaxed
-# consults through the certified solve). The sanitizer
+# allocator property sweep (every random system's consults, and the
+# paper-exact oracle programs beside them, through the certified solve). The sanitizer
 # build compiles with -ffp-contract=off so its floating-point results match
 # the tier-1 build bit for bit.
 cmake -B build-asan -S . -DAGORA_SANITIZE=ON
@@ -101,8 +101,9 @@ cmake --build build-tsan -j --target obs_test rms_chaos_test rms_failover_test \
 ./build-tsan/tests/engine_federation_test
 ./build-tsan/tests/federation_chaos_test
 # net_service_test joins the TSan pass: the poll-loop thread's connection
-# state races client threads and the engine's shard workers through the
-# admission queue, in-flight futures, and the atomic stats cells.
+# state races client threads, the engine's shard workers and (in the
+# overload test) the backend pump held behind a gate, through the admission
+# queue, in-flight futures, and the atomic stats cells.
 ./build-tsan/tests/net_service_test
 # The history-independence suite joins the TSan pass with its ASan twin:
 # it is single-threaded, but it pins the property the plan cache and the

@@ -112,9 +112,8 @@ inline constexpr std::size_t kIslands = 8;
 inline constexpr std::size_t kPerIsland = 8;
 /// Share between every ordered pair inside one island.
 inline constexpr double kIslandShare = 0.2;
-/// Ring-bridge share joining the islands into one component: weak enough
-/// that the federated cut severs exactly the bridges, strong enough that
-/// border credits are worth granting.
+/// Ring-bridge share joining the islands into one component: weak, but it
+/// leaves connectivity sharding nothing to split.
 inline constexpr double kBridgeShare = 0.05;
 
 /// kIslands complete-graph sharing islands of kPerIsland participants each

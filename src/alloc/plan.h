@@ -30,15 +30,6 @@ inline Status to_status(PlanStatus s) {
   return Status::internal("unknown PlanStatus");
 }
 
-/// One border-credit spend inside a federated plan: `amount` of the plan's
-/// bank draw is attributed to the loan `credit` (engine::Credit id), i.e. to
-/// that credit's lender's physical capacity. Only federated engine plans
-/// carry these; a bare Allocator never does.
-struct BorrowedDraw {
-  std::uint64_t credit = 0;
-  double amount = 0.0;
-};
-
 struct AllocationPlan {
   PlanStatus status = PlanStatus::Insufficient;
 
@@ -68,11 +59,6 @@ struct AllocationPlan {
   /// engine (see engine::CapacitySnapshot::epoch). 0 for plans produced by a
   /// bare Allocator outside the engine.
   std::uint64_t decision_epoch = 0;
-
-  /// Border-credit spends backing the draws attributed to remote lenders
-  /// (federated engine plans only; empty otherwise). Applying the plan
-  /// consumes exactly these amounts from the named credits.
-  std::vector<BorrowedDraw> borrowed;
 
   bool satisfied() const { return status == PlanStatus::Satisfied; }
   /// Unified-status view of `status` (see to_status(PlanStatus)).

@@ -30,7 +30,7 @@ struct CurrencyTag {};
 struct TicketTag {};
 struct ResourceTag {};
 
-/// A participant in the sharing federation (an ISP, an organization, ...).
+/// A participant in the sharing economy (an ISP, an organization, ...).
 using PrincipalId = detail::Id<PrincipalTag>;
 /// A currency: the default per-principal one or a virtual currency.
 using CurrencyId = detail::Id<CurrencyTag>;

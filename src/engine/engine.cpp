@@ -36,11 +36,7 @@ agree::AgreementSystem induce(const agree::AgreementSystem& sys,
 
 EnforcementEngine::EnforcementEngine(agree::AgreementSystem sys, EngineOptions opts)
     : sys_(std::move(sys)), n_(sys_.size()), opts_(std::move(opts)) {
-  PartitionOptions popts;
-  popts.shards = opts_.threads;
-  popts.federated = opts_.federation.enabled;
-  popts.balance_slack = opts_.federation.balance_slack;
-  part_ = partition_participants(sys_, popts);
+  part_ = partition_participants(sys_, opts_.threads);
 
   obs_consults_ = &opts_.sink.counter("engine.consults");
   obs_batches_ = &opts_.sink.counter("engine.batches");
@@ -54,41 +50,18 @@ EnforcementEngine::EnforcementEngine(agree::AgreementSystem sys, EngineOptions o
   obs_pc_rejects_ = &opts_.sink.counter("engine.plan_cache.certify_rejects");
   obs_pc_neg_hits_ = &opts_.sink.counter("engine.plan_cache.neg_hits");
   obs_pc_neg_rejects_ = &opts_.sink.counter("engine.plan_cache.neg_rejects");
-  obs_fed_settlements_ = &opts_.sink.counter("engine.federation.settlements");
-  obs_fed_gap_probes_ = &opts_.sink.counter("engine.federation.gap_probes");
-  obs_fed_outstanding_ = &opts_.sink.gauge("engine.federation.outstanding");
-  obs_fed_gap_rel_ = &opts_.sink.gauge("engine.federation.gap_rel");
 
   if (opts_.plan_cache) {
     pcache_ = std::make_unique<PlanCache>(
         PlanCacheOptions{opts_.plan_cache_slots, /*probe_window=*/8});
-  }
-  if (opts_.plan_cache || part_.federated) {
     // The global perturbation coefficients: one row per drawn-on participant
     // k, that_(k, i) = capacity drop at i per unit drawn at k. Identical to
     // the compact LP's perturbation rows (clamped transitive shares off the
-    // diagonal, retained share on it), and global in every sharding mode --
-    // which is what makes it usable both for plan-cache re-certification and
-    // for the federation's loan targets / gap probes.
+    // diagonal, retained share on it), and global in every sharding mode,
+    // which is what makes it usable for plan-cache re-certification.
     that_ = agree::overdraft_clamp(
         agree::transitive_shares(sys_.relative, opts_.alloc.transitive));
     for (std::size_t i = 0; i < n_; ++i) that_(i, i) = sys_.retained[i];
-  }
-
-  std::vector<Federation::ShardUpdate> fed_init;
-  if (part_.federated) {
-    fed_ = std::make_unique<Federation>(sys_, part_, that_, opts_.federation);
-    if (!fed_->active()) {
-      // The packing happened to cut no entitlement-carrying edges: this is
-      // plain connectivity sharding, no credits or settlement needed.
-      fed_.reset();
-    } else {
-      fed_init = fed_->settle(sys_.capacity);  // grant the initial loans
-      if (opts_.federation.gap_probes > 0) {
-        // Reference measurements, never admissions.
-        exact_ = std::make_unique<alloc::Allocator>(sys_, opts_.alloc);
-      }
-    }
   }
 
   const std::size_t n = n_;
@@ -100,15 +73,8 @@ EnforcementEngine::EnforcementEngine(agree::AgreementSystem sys, EngineOptions o
     shard->local_of.assign(n, kNpos);
     for (std::size_t l = 0; l < shard->members.size(); ++l)
       shard->local_of[shard->members[l]] = l;
-    if (fed_) {
-      shard->alloc = std::make_shared<alloc::Allocator>(
-          fed_->local_system(s, sys_.capacity), opts_.alloc);
-      shard->bank = fed_->bank_index(s);
-      shard->credits = std::move(fed_init[s].credits);
-    } else {
-      shard->alloc = std::make_shared<alloc::Allocator>(
-          part_.replicated ? sys_ : induce(sys_, shard->members), opts_.alloc);
-    }
+    shard->alloc = std::make_unique<alloc::Allocator>(
+        part_.replicated ? sys_ : induce(sys_, shard->members), opts_.alloc);
     shard->obs_queue_depth =
         &opts_.sink.gauge("engine.shard." + std::to_string(s) + ".queue_depth");
     shards_.push_back(std::move(shard));
@@ -188,15 +154,12 @@ void EnforcementEngine::process(Shard& shard, Op& op) {
       EngineResult res;
       try {
         alloc::AllocationPlan local = shard.alloc->allocate(op.principal, op.amount);
-        res.plan = fed_ ? federate(shard, std::move(local), op.global)
-                        : globalize(shard, std::move(local));
+        res.plan = globalize(shard, std::move(local));
         // The decision was made against this shard's post-mutation state,
         // which is exactly the epoch-muts_applied snapshot (see the field's
         // comment); stamp it so callers can assert freshness.
         res.plan.decision_epoch = shard.muts_applied;
         res.status = res.plan.to_status();
-        if (fed_ && res.plan.satisfied() && opts_.federation.gap_probes > 0)
-          sample_gap(shard, res.plan, op.global, op.amount);
         // Cache certified outcomes of BOTH polarities: grants for replay,
         // and Insufficient denials (certified infeasible via the Farkas
         // witness when the pipeline runs certify-on) so a requester
@@ -219,30 +182,14 @@ void EnforcementEngine::process(Shard& shard, Op& op) {
       // All mutations arrive pre-reduced to "replace this shard's capacity
       // slice" (mutate() folds draws / give-backs into the global vector
       // before fan-out), so the shard-level operation is always
-      // set_capacities and replicas in hash mode stay identical. Federated
-      // settlements that move the bank's earmarks additionally carry a
-      // rebuilt local system (agreement matrices are immutable on a live
-      // allocator) and the shard's new credit table.
+      // set_capacities and replicas in hash mode stay identical.
       try {
-        if (op.rebuild) {
-          lp::accumulate(shard.carried, *shard.alloc->solver_stats());
-          // atomic_store: stats() may be snapshotting the old allocator's
-          // counters from another thread while we swap it out.
-          std::atomic_store(&shard.alloc,
-                            std::make_shared<alloc::Allocator>(*op.rebuild, opts_.alloc));
-        } else {
-          shard.alloc->set_capacities(std::span<const double>(op.vec));
-        }
-        if (fed_) shard.credits = std::move(op.credits);
+        shard.alloc->set_capacities(std::span<const double>(op.vec));
         ++shard.muts_applied;
         ShardView view;
-        view.capacity.assign(op.vec.begin(), op.vec.end());
         view.available.resize(shard.members.size());
         for (std::size_t l = 0; l < shard.members.size(); ++l)
           view.available[l] = shard.alloc->available_to(l);
-        view.gaps = std::move(shard.gap_samples);
-        shard.gap_samples.clear();
-        shard.gap_next = 0;
         op.view.set_value(std::move(view));
       } catch (...) {
         op.view.set_exception(std::current_exception());
@@ -251,8 +198,7 @@ void EnforcementEngine::process(Shard& shard, Op& op) {
     }
     case Op::Kind::Query: {
       ShardView view;
-      view.pipeline = shard.carried;
-      lp::accumulate(view.pipeline, *shard.alloc->solver_stats());
+      view.pipeline = *shard.alloc->solver_stats();
       op.view.set_value(std::move(view));
       return;
     }
@@ -283,68 +229,6 @@ alloc::AllocationPlan EnforcementEngine::globalize(const Shard& shard,
   plan.capacity_before = overlay(local.capacity_before, snap->available, 0.0);
   plan.capacity_after = overlay(local.capacity_after, snap->available, 0.0);
   return plan;
-}
-
-alloc::AllocationPlan EnforcementEngine::federate(Shard& shard, alloc::AllocationPlan local,
-                                                  std::size_t a) const {
-  const std::size_t m = shard.members.size();
-  double bank_draw = 0.0;
-  if (shard.bank != kNpos && local.draw.size() > shard.bank)
-    bank_draw = local.draw[shard.bank];
-  const auto trim = [m](std::vector<double>& v) {
-    if (v.size() > m) v.resize(m);
-  };
-  trim(local.draw);
-  trim(local.capacity_before);
-  trim(local.capacity_after);
-  alloc::AllocationPlan plan = globalize(shard, std::move(local));
-  if (bank_draw <= 0.0 || plan.draw.empty()) return plan;
-  // Attribute the bank draw to individual credits greedily in id order:
-  // deterministic, and exhaustive because the local LP bounds the draw by
-  // the requester's earmark (the sum of its credit balances).
-  double left = bank_draw;
-  for (const CreditSlice& c : shard.credits) {
-    if (c.borrower != a || left <= 0.0) continue;
-    const double take = std::min(left, c.remaining);
-    if (take <= 0.0) continue;
-    plan.draw[c.lender] += take;
-    plan.borrowed.push_back(alloc::BorrowedDraw{c.id, take});
-    left -= take;
-  }
-  if (left > 0.0 && !plan.borrowed.empty()) {
-    // Feasibility-tolerance residue past the earmark: fold it into the last
-    // credit touched (CreditLedger::consume clamps within tolerance) so the
-    // global draws still sum to the granted amount.
-    alloc::BorrowedDraw& b = plan.borrowed.back();
-    b.amount += left;
-    for (const CreditSlice& c : shard.credits) {
-      if (c.id != b.credit) continue;
-      plan.draw[c.lender] += left;
-      break;
-    }
-  }
-  return plan;
-}
-
-void EnforcementEngine::sample_gap(Shard& shard, const alloc::AllocationPlan& plan,
-                                   std::size_t a, double amount) const {
-  // The plan's measured global perturbation: the worst capacity drop its
-  // draw vector induces anywhere under the global coefficients -- what the
-  // exact LP's theta is compared against at the next settlement.
-  thread_local std::vector<double> drop;
-  drop.assign(n_, 0.0);
-  for (std::size_t k = 0; k < n_; ++k)
-    if (plan.draw[k] != 0.0) vaxpy(plan.draw[k], that_.row(k), std::span<double>(drop));
-  GapSample s;
-  s.participant = a;
-  s.amount = amount;
-  s.theta_global = *std::max_element(drop.begin(), drop.end());
-  const std::size_t cap = opts_.federation.gap_probes;
-  if (shard.gap_samples.size() < cap)
-    shard.gap_samples.push_back(s);
-  else
-    shard.gap_samples[shard.gap_next % cap] = s;
-  ++shard.gap_next;
 }
 
 alloc::AllocationPlan EnforcementEngine::consult(std::size_t a, double amount) const {
@@ -498,12 +382,6 @@ void EnforcementEngine::apply(const alloc::AllocationPlan& plan) {
   AGORA_REQUIRE(plan.satisfied(), "cannot apply an unsatisfied plan");
   AGORA_REQUIRE(plan.draw.size() == n_, "plan size mismatch");
   std::lock_guard<std::mutex> lock(mutate_mu_);
-  // Spend the plan's border credits first: this is the double-spend guard --
-  // a stale federated plan whose loans were already consumed (or revoked by
-  // a later settlement) throws here instead of drawing lender capacity the
-  // ledger no longer backs.
-  if (fed_ && !plan.borrowed.empty())
-    fed_->consume(plan.borrowed, opts_.alloc.solve.tols.feasibility);
   std::vector<double> next = sys_.capacity;
   for (std::size_t i = 0; i < next.size(); ++i) {
     AGORA_REQUIRE(plan.draw[i] <= next[i] + 1e-7, "plan draws more than a principal owns");
@@ -536,75 +414,28 @@ void EnforcementEngine::mutate(const std::vector<double>& global, Op::Kind kind)
   // submitted), then merge the acknowledged availability slices and publish
   // the next snapshot epoch. Blocking here is what makes a returned
   // apply()/release()/set_capacities() visible to every later consult.
-  //
-  // Federated engines run a settlement round first: the ledger re-plans
-  // every loan toward its policy target at the new capacities, and each
-  // shard's op carries its settled local slice (capacity including the bank
-  // slot, a rebuilt system when earmarks moved, the new credit table)
-  // instead of a bare member slice.
-  std::vector<Federation::ShardUpdate> settled;
-  if (fed_) settled = fed_->settle(global);
   std::vector<std::future<ShardView>> acks;
   acks.reserve(shards_.size());
   for (auto& shard : shards_) {
     Op op;
     op.kind = kind;
-    if (fed_) {
-      Federation::ShardUpdate& u = settled[shard->id];
-      op.vec = std::move(u.capacity);
-      op.rebuild = std::move(u.rebuild);
-      op.credits = std::move(u.credits);
-    } else {
-      op.vec.resize(shard->members.size());
-      for (std::size_t l = 0; l < shard->members.size(); ++l)
-        op.vec[l] = global[shard->members[l]];
-    }
+    op.vec.resize(shard->members.size());
+    for (std::size_t l = 0; l < shard->members.size(); ++l)
+      op.vec[l] = global[shard->members[l]];
     acks.push_back(op.view.get_future());
     const bool pushed = shard->queue.push(std::move(op));
     AGORA_INVARIANT(pushed, "mutation submitted to a shut-down engine");
   }
   std::vector<double> available(n_, 0.0);
-  std::vector<GapSample> gaps;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     ShardView view = acks[s].get();  // rethrows shard-side failures
     for (std::size_t l = 0; l < shards_[s]->members.size(); ++l) {
       const std::size_t g = shards_[s]->members[l];
       if (part_.shard_of[g] == s) available[g] = view.available[l];
     }
-    gaps.insert(gaps.end(), view.gaps.begin(), view.gaps.end());
-  }
-  if (exact_) {
-    // Measure the optimality gap for the epoch's sampled decisions while
-    // the reference allocator still holds the PRE-mutation capacities those
-    // decisions were made against.
-    for (const GapSample& g : gaps) {
-      const alloc::AllocationPlan ref = exact_->allocate(g.participant, g.amount);
-      if (!ref.satisfied()) continue;
-      const double gap_abs = std::max(0.0, g.theta_global - ref.theta);
-      const double gap_rel = gap_abs / std::max(ref.theta, 1.0);
-      {
-        std::lock_guard<std::mutex> glock(agg_mu_);
-        ++fed_stats_.gap_probes;
-        fed_stats_.last_gap_abs = gap_abs;
-        fed_stats_.last_gap_rel = gap_rel;
-        fed_stats_.max_gap_rel = std::max(fed_stats_.max_gap_rel, gap_rel);
-      }
-      obs_fed_gap_probes_->inc();
-      obs_fed_gap_rel_->set(gap_rel);
-    }
-    exact_->set_capacities(std::span<const double>(global));
-  }
-  if (fed_) {
-    obs_fed_settlements_->inc();
-    obs_fed_outstanding_->set(fed_->ledger().totals().outstanding);
   }
   sys_.capacity = global;
   publish(global, std::move(available));
-}
-
-void EnforcementEngine::settle() {
-  std::lock_guard<std::mutex> lock(mutate_mu_);
-  mutate(sys_.capacity, Op::Kind::SetCapacities);
 }
 
 void EnforcementEngine::publish(std::vector<double> capacity, std::vector<double> available) {
@@ -651,25 +482,8 @@ EngineStats EnforcementEngine::stats() const {
   EngineStats out;
   out.shards = shards_.size();
   out.replicated = part_.replicated;
-  out.federated = fed_ != nullptr;
   out.components = part_.components;
   out.epoch = cell_.load()->epoch;
-  if (fed_) {
-    {
-      std::lock_guard<std::mutex> glock(agg_mu_);
-      out.federation = fed_stats_;
-    }
-    // Ledger reads synchronize with settlements/consumption via mutate_mu_.
-    std::lock_guard<std::mutex> mlock(mutate_mu_);
-    out.federation.active = true;
-    out.federation.credits = fed_->ledger().size();
-    out.federation.settlements = fed_->settlements();
-    const CreditLedger::Totals t = fed_->ledger().totals();
-    out.federation.granted = t.granted;
-    out.federation.consumed = t.consumed;
-    out.federation.revoked = t.revoked;
-    out.federation.outstanding = t.outstanding;
-  }
   out.shard.reserve(shards_.size());
   for (const auto& shard : shards_) {
     ShardStats s;

@@ -1,9 +1,7 @@
 #include "engine/partition.h"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
-#include <tuple>
 
 #include "util/error.h"
 
@@ -25,8 +23,8 @@ void unite(std::vector<std::size_t>& parent, std::size_t a, std::size_t b) {
   if (a != b) parent[std::max(a, b)] = std::min(a, b);
 }
 
-/// Groups of participants (components or agglomerated clusters), each
-/// ascending, ordered by smallest member for determinism.
+/// Connected components, each ascending, ordered by smallest member for
+/// determinism.
 std::vector<std::vector<std::size_t>> collect_groups(std::vector<std::size_t>& parent) {
   const std::size_t n = parent.size();
   std::vector<std::vector<std::size_t>> groups;
@@ -42,7 +40,7 @@ std::vector<std::vector<std::size_t>> collect_groups(std::vector<std::size_t>& p
   return groups;
 }
 
-/// LPT bin-packing of groups onto `part.shards` shards: largest group first
+/// LPT bin-packing of components onto `part.shards` shards: largest first
 /// onto the least-loaded shard, ties toward the lower shard id.
 void pack_groups(const std::vector<std::vector<std::size_t>>& groups, Partition& part) {
   part.members.assign(part.shards, {});
@@ -67,60 +65,12 @@ void pack_groups(const std::vector<std::vector<std::size_t>>& groups, Partition&
   for (auto& m : part.members) std::sort(m.begin(), m.end());
 }
 
-/// Min-cut-ish split for federated mode: heavy-edge agglomeration under a
-/// size cap. Merging the heaviest agreement edges first keeps them inside a
-/// shard, so the edges that end up cut -- and become border credits -- are
-/// the lightest ones, which is what bounds the optimality gap in practice.
-std::vector<std::vector<std::size_t>> agglomerate(const agree::AgreementSystem& sys,
-                                                  std::size_t shards, double slack) {
-  const std::size_t n = sys.size();
-  const std::size_t cap = std::max<std::size_t>(
-      1, static_cast<std::size_t>(
-             std::ceil(static_cast<double>(n) * (1.0 + slack) / static_cast<double>(shards))));
-
-  // Absolute amounts live on the capacity scale; relative shares are
-  // fractions. Normalize A by the mean capacity so both contribute
-  // comparably to the edge weight.
-  double mean_cap = 0.0;
-  for (double v : sys.capacity) mean_cap += v;
-  mean_cap = std::max(1.0, mean_cap / static_cast<double>(n));
-
-  struct Edge {
-    double weight;
-    std::size_t i, j;
-  };
-  std::vector<Edge> edges;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const double w = sys.relative(i, j) + sys.relative(j, i) +
-                       (sys.absolute(i, j) + sys.absolute(j, i)) / mean_cap;
-      if (w > 0.0) edges.push_back(Edge{w, i, j});
-    }
-  }
-  std::stable_sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
-    return std::tie(b.weight, a.i, a.j) < std::tie(a.weight, b.i, b.j);
-  });
-
-  std::vector<std::size_t> parent(n), size(n, 1);
-  std::iota(parent.begin(), parent.end(), 0);
-  for (const Edge& e : edges) {
-    const std::size_t a = find_root(parent, e.i);
-    const std::size_t b = find_root(parent, e.j);
-    if (a == b || size[a] + size[b] > cap) continue;
-    const std::size_t root = std::min(a, b);
-    size[root] = size[a] + size[b];
-    parent[std::max(a, b)] = root;
-  }
-  return collect_groups(parent);
-}
-
 }  // namespace
 
-Partition partition_participants(const agree::AgreementSystem& sys,
-                                 const PartitionOptions& opts) {
+Partition partition_participants(const agree::AgreementSystem& sys, std::size_t shards) {
   const std::size_t n = sys.size();
   AGORA_REQUIRE(n > 0, "cannot partition an empty system");
-  std::size_t shards = opts.shards == 0 ? 1 : std::min(opts.shards, n);
+  shards = shards == 0 ? 1 : std::min(shards, n);
 
   // Connected components of the symmetrized agreement support S + A.
   std::vector<std::size_t> parent(n);
@@ -135,16 +85,6 @@ Partition partition_participants(const agree::AgreementSystem& sys,
   part.components = comps.size();
   part.shard_of.assign(n, 0);
 
-  if (comps.size() < shards && shards > 1 && opts.federated) {
-    // Federated split: cut the components themselves, lightest edges first
-    // to the boundary. Cut entitlements become border credits.
-    const auto groups = agglomerate(sys, shards, opts.balance_slack);
-    part.shards = std::min(shards, groups.size());
-    part.federated = part.shards > 1 && groups.size() > comps.size();
-    pack_groups(groups, part);
-    return part;
-  }
-
   if (comps.size() == 1 && shards > 1) {
     // Hash fallback: one giant component, no independent split. Replicate
     // the full system on every shard and route requests by participant id.
@@ -158,12 +98,6 @@ Partition partition_participants(const agree::AgreementSystem& sys,
   part.shards = std::min(shards, comps.size());
   pack_groups(comps, part);
   return part;
-}
-
-Partition partition_participants(const agree::AgreementSystem& sys, std::size_t shards) {
-  PartitionOptions opts;
-  opts.shards = shards;
-  return partition_participants(sys, opts);
 }
 
 }  // namespace agora::engine

@@ -13,18 +13,11 @@
 // model even on a single core.
 //
 // When the economy is a single connected component there is no independent
-// split. Two fallbacks exist:
-//
-//   * hash sharding (legacy): participants are hashed to shards for queue
-//     routing and every shard owns a full-system replica allocator
-//     (mutations are broadcast so replicas stay identical). Decisions stay
-//     exact but every shard pays the full-size LP -- the speedup evaporates.
-//   * federated sharding (PartitionOptions::federated): the component is cut
-//     by min-cut-ish edge scoring -- heavy-edge agglomeration under a size
-//     cap, so the heaviest agreement edges stay inside a shard and only the
-//     lightest are cut. Cut entitlements are carried by border credits (see
-//     federation.h); decisions are certified-feasible but approximate, with
-//     the optimality gap measured per epoch.
+// split. Participants are then hashed to shards for queue routing and every
+// shard owns a full-system replica allocator (mutations are broadcast so
+// replicas stay identical). Every shard solves the same global min-theta LP
+// the direct allocator solves, so decisions never depend on the shard
+// count; only the queue a request waits in does.
 #pragma once
 
 #include <cstddef>
@@ -41,10 +34,6 @@ struct Partition {
   /// True when the hash fallback is in use: every shard owns the full
   /// participant set and mutations must be broadcast to all shards.
   bool replicated = false;
-  /// True when the edge-scored federated split was used: shard boundaries
-  /// may cut agreement edges, so border credits are required for exactness
-  /// of routing-local admission (mutually exclusive with `replicated`).
-  bool federated = false;
   /// Number of connected components in the agreement graph.
   std::size_t components = 0;
   /// Owning shard per participant (routing key).
@@ -54,30 +43,11 @@ struct Partition {
   std::vector<std::vector<std::size_t>> members;
 };
 
-struct PartitionOptions {
-  std::size_t shards = 1;
-  /// Split components by edge-scored agglomeration (with border credits)
-  /// instead of hash-replicating when there are fewer components than
-  /// requested shards.
-  bool federated = false;
-  /// Federated size balance: no shard exceeds ceil(n / shards) * (1 +
-  /// balance_slack) participants. Larger slack lets heavier edges stay
-  /// uncut at the cost of load skew.
-  double balance_slack = 0.25;
-};
-
-/// Partition the participants of `sys` into at most `opts.shards` shards.
-/// Connectivity first: connected components (union of the relative and
-/// absolute agreement supports, symmetrized) are bin-packed onto shards,
-/// largest first. When there are fewer components than requested shards:
-/// federated mode cuts components by heavy-edge agglomeration (lightest
-/// total agreement weight crosses shards), otherwise falls back to hash
-/// routing over full replicas (single component) or shrinks the shard
-/// count.
-Partition partition_participants(const agree::AgreementSystem& sys,
-                                 const PartitionOptions& opts);
-
-/// Legacy entry point: connectivity-only partitioning (never federated).
+/// Partition the participants of `sys` into at most `shards` shards.
+/// Connected components (union of the relative and absolute agreement
+/// supports, symmetrized) are bin-packed onto shards, largest first. A
+/// single component falls back to hash routing over full replicas; several
+/// components never yield more shards than components.
 Partition partition_participants(const agree::AgreementSystem& sys, std::size_t shards);
 
 }  // namespace agora::engine

@@ -15,6 +15,10 @@
 // (replica/raft.h, DESIGN.md §12): log entries carrying the commands a GRM
 // state machine applies, the Raft-style election and replication RPCs, and
 // the NotLeader redirect a follower sends a client.
+//
+// Nothing else rides the bus: the enforcement engine's shards exchange no
+// messages (each decides from its own exact allocator; mutations reach
+// every shard through its in-process queue).
 #pragma once
 
 #include <cstdint>
@@ -185,35 +189,9 @@ struct NotLeader {
   std::size_t leader = 0;  ///< bus endpoint of the believed leader
 };
 
-// ---------------------------------------------------------------------------
-// Federated settlement (engine/federation.h, DESIGN.md §15): the coordinator
-// distributes border-credit balances to borrower shards over the bus. Both
-// messages are idempotent by settle_id -- at-least-once delivery with
-// receiver-side dedup yields exactly-once application, which the tier2-chaos
-// federation suite drives through the fault plan.
-// ---------------------------------------------------------------------------
-
-/// Coordinator -> borrower shard: the shard's full inbound credit table as
-/// of settlement round `settle_id` (absolute balances, not deltas, so a
-/// duplicated or replayed grant is harmlessly re-applied).
-struct CreditGrant {
-  std::uint64_t settle_id = 0;
-  std::size_t shard = 0;
-  std::vector<std::uint64_t> credit_ids;
-  std::vector<double> remaining;  ///< parallel to credit_ids
-};
-
-/// Borrower shard -> coordinator: round `settle_id` applied (or already
-/// applied -- re-acked on retry, like ReserveCommand's Ack).
-struct CreditAck {
-  std::uint64_t settle_id = 0;
-  std::size_t shard = 0;
-};
-
 using Payload = std::variant<AvailabilityReport, AllocationRequest, AllocationReply,
                              ReserveCommand, ReleaseNotice, AgreementUpdate, Ack,
                              LrmResync, Timer, RequestVote, VoteReply, AppendEntries,
-                             AppendReply, InstallSnapshot, SnapshotReply, NotLeader,
-                             CreditGrant, CreditAck>;
+                             AppendReply, InstallSnapshot, SnapshotReply, NotLeader>;
 
 }  // namespace agora::rms

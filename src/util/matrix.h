@@ -150,38 +150,15 @@ double linf_distance(std::span<const double> a, std::span<const double> b);
 
 // --- Vectorized kernels (hot-path math; see AGORA_SIMD in CMakeLists) -----
 //
-// The plan-cache re-certification and the revised-simplex inner loops
-// spend nearly all their time in dot/axpy-shaped passes over contiguous
-// doubles. These kernels are written as four independent accumulator lanes
-// with a scalar tail, which is exactly the shape an AVX2 register holds --
-// the intrinsic path (compiled when AGORA_SIMD is on and the compiler
-// targets AVX2) and the portable fallback therefore produce bit-identical
-// results: same lane assignment, same combine order, no FMA contraction.
-// `vaxpy` is elementwise and bit-identical to `axpy` as well, so callers
-// may switch freely.
+// The plan-cache re-certification accumulates capacity drops with `vaxpy`;
+// the revised simplex prices CSC columns with `gather_dot`. `vaxpy` has an
+// AVX2 path (compiled when AGORA_SIMD is on and the compiler targets AVX2)
+// and a portable fallback; it is elementwise with no FMA contraction, so
+// both builds are bit-identical to `axpy` and callers may switch freely.
 //
 // They deliberately skip the length AGORA_REQUIREs of their scalar
 // counterparts: every call site is an inner loop that has already validated
 // its shapes once per solve, not once per element.
-
-/// Dot product, 4-lane accumulation. NOT bit-identical to `dot` (different
-/// summation order); identical across the SIMD and fallback builds.
-double vdot(const double* a, const double* b, std::size_t n);
-inline double vdot(std::span<const double> a, std::span<const double> b) {
-  return vdot(a.data(), b.data(), a.size());
-}
-
-/// Fused pass computing both sum(a[i]*x[i]) and sum(|a[i]*x[i]|) -- the
-/// activity and the magnitude scale a relative residual test needs, in one
-/// sweep.
-struct DotAbs {
-  double value = 0.0;
-  double magnitude = 0.0;
-};
-DotAbs vdot_abs(const double* a, const double* x, std::size_t n);
-inline DotAbs vdot_abs(std::span<const double> a, std::span<const double> x) {
-  return vdot_abs(a.data(), x.data(), a.size());
-}
 
 /// y += alpha * x, vector-width strides. Elementwise, hence bit-identical
 /// to `axpy` and across builds.
@@ -189,10 +166,6 @@ void vaxpy(double alpha, const double* x, double* y, std::size_t n);
 inline void vaxpy(double alpha, std::span<const double> x, std::span<double> y) {
   vaxpy(alpha, x.data(), y.data(), x.size());
 }
-
-/// Dense row-major matrix-vector product y = A x using vdot per row
-/// (y must already have A.rows() elements).
-void gemv(const Matrix& a, std::span<const double> x, std::span<double> y);
 
 /// Sparse gather dot: sum_t row[idx[t]] * val[t]. The revised simplex prices
 /// a CSC column against the simplex multipliers with this.

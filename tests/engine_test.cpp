@@ -5,8 +5,10 @@
 // submit(), snapshot epochs, and certification inheritance.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <future>
+#include <string>
 #include <vector>
 
 #include "agree/topology.h"
@@ -38,6 +40,21 @@ agree::AgreementSystem connected_economy(std::size_t n, double share) {
   agree::AgreementSystem sys(n);
   for (std::size_t i = 0; i < n; ++i) sys.capacity[i] = 5.0 + static_cast<double>(i);
   sys.relative = agree::complete_graph(n, share);
+  return sys;
+}
+
+/// island_economy() joined into one component by a ring of weak bridges:
+/// the last member of each island and the first member of the next share
+/// `bridge` both ways.
+agree::AgreementSystem bridged_economy(std::size_t islands, std::size_t per, double share,
+                                       double bridge) {
+  agree::AgreementSystem sys = island_economy(islands, per, share);
+  for (std::size_t g = 0; g < islands; ++g) {
+    const std::size_t a = g * per + (per - 1);
+    const std::size_t b = ((g + 1) % islands) * per;
+    sys.relative(a, b) = bridge;
+    sys.relative(b, a) = bridge;
+  }
   return sys;
 }
 
@@ -247,25 +264,45 @@ TEST(EngineSharded, ComponentLocalDecisionsMatchGlobalAllocator) {
 }
 
 TEST(EngineSharded, ReplicatedModeStaysExactUnderMutation) {
-  const auto sys = connected_economy(5, 0.2);
-  alloc::Allocator direct(sys);
-  EngineOptions eopts;
-  eopts.sink = obs::Sink::none();
-  eopts.alloc.sink = obs::Sink::none();
-  eopts.threads = 3;
-  EnforcementEngine eng(sys, eopts);
-  EXPECT_TRUE(eng.replicated());
+  // A connected economy at threads > 1 hash-routes over full replicas: the
+  // same (snapshot, request) sequence must give bit-identical plans at
+  // every shard count, equal to the direct allocator's. The ring-bridged
+  // islands are the one-component economy the benches sweep; its DFS is
+  // bounded at 3 hops as there.
+  struct Case {
+    const char* name;
+    agree::AgreementSystem sys;
+    std::size_t max_level;
+  };
+  const Case cases[] = {{"complete5", connected_economy(5, 0.2), 0},
+                        {"bridged8x8", bridged_economy(8, 8, 0.2, 0.05), 3}};
+  for (const Case& c : cases) {
+    for (const std::size_t threads : {2u, 3u, 8u}) {
+      SCOPED_TRACE(std::string(c.name) + " threads=" + std::to_string(threads));
+      alloc::AllocatorOptions aopts;
+      aopts.sink = obs::Sink::none();
+      if (c.max_level > 0) aopts.transitive.max_level = c.max_level;
+      alloc::Allocator direct(c.sys, aopts);
+      EngineOptions eopts;
+      eopts.sink = obs::Sink::none();
+      eopts.alloc = aopts;
+      eopts.threads = threads;
+      EnforcementEngine eng(c.sys, eopts);
+      EXPECT_TRUE(eng.replicated());
+      EXPECT_EQ(eng.num_shards(), std::min(threads, c.sys.size()));
 
-  for (std::size_t a = 0; a < sys.size(); ++a) {
-    const double want = 0.4 * direct.available_to(a);
-    const alloc::AllocationPlan dp = direct.allocate(a, want);
-    const alloc::AllocationPlan ep = eng.consult(a, want);
-    ASSERT_TRUE(dp.satisfied());
-    expect_identical(ep, dp);  // every replica solves the same global model
-    direct.apply(dp);
-    eng.apply(ep);  // broadcast: replicas stay identical
-    for (std::size_t i = 0; i < sys.size(); ++i)
-      EXPECT_EQ(direct.available_to(i), eng.available_to(i));
+      for (std::size_t a = 0; a < c.sys.size(); ++a) {
+        const double want = 0.4 * direct.available_to(a);
+        const alloc::AllocationPlan dp = direct.allocate(a, want);
+        const alloc::AllocationPlan ep = eng.consult(a, want);
+        ASSERT_TRUE(dp.satisfied());
+        expect_identical(ep, dp);  // every replica solves the same global model
+        direct.apply(dp);
+        eng.apply(ep);  // broadcast: replicas stay identical
+        for (std::size_t i = 0; i < c.sys.size(); ++i)
+          EXPECT_EQ(direct.available_to(i), eng.available_to(i));
+      }
+    }
   }
 }
 

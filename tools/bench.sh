@@ -41,14 +41,16 @@ python3 tools/bench_lp_json.py "${BUILD_TYPE}" \
 
 echo "bench: BENCH_lp.json written"
 
-# Enforcement-engine sweeps: the shard-count sweep (1/2/4/8 worker shards,
-# consults/sec + p50/p99 consult latency with a recorded p99 regression
-# bound), its single-component federation sweep (federated off/on x 1/2/4/8
-# shards over the ring-bridged economy, measured optimality gap per point),
-# and the admission hot-path sweep (baseline vs plan-cache on a Zipf s=1.1
-# request mix; cache hit-rate, 100%-certified-grants gate). The merge script nests the fragments under
-# the schema-versioned BENCH_engine.json and enforces the >=10x
-# cache-speedup and >=3x federated-shard-speedup acceptance bounds.
+# Enforcement-engine sweeps: the shard-count sweep over the 8-island
+# economy (1/2/4/8 worker shards, consults/sec + p50/p99 consult latency
+# with a recorded p99 regression bound), its single-component sweep over the
+# ring-bridged economy (the exact one-shard point, then replicated shards at
+# 2/4/8 threads), each point the median and IQR of interleaved runs, and the
+# admission hot-path sweep (baseline vs plan-cache on a Zipf s=1.1 request
+# mix; cache hit-rate, 100%-certified-grants gate). The merge script nests
+# the fragments under the schema-versioned BENCH_engine.json and enforces
+# the >=10x cache-speedup bound, the median-p99 bound, 100% certified grants
+# on the single component, and replicated shards == threads at threads > 1.
 "./${BUILD}/bench/scale_shards" "${OUT}/scale_shards.json"
 "./${BUILD}/bench/scale_hotpath" "${OUT}/scale_hotpath.json"
 python3 tools/bench_engine_json.py \

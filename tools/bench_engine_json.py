@@ -12,14 +12,14 @@ The acceptance gates are re-checked here so a bad merge can't slip into the
 tracked file:
   * hot path: certified_grant_pct must be 100 and the cache speedup over
     the baseline phase must be >= 10x;
-  * federation: on the single-component sweep, federated@8-shards
-    must beat federated@1-shard by >= 3x with NO full-replica fallback
-    (federated true, replicated false at every threads>1 point), every
-    grant certified, and a finite measured optimality gap recorded.
+  * islands sweep: every point's median p99 is within the recorded bound;
+  * single component: every point is 100% certified, and every threads>1
+    point reports replicated with shards == threads (a connected economy
+    always takes the exact replicated path, and no shard count shrinks
+    silently).
 """
 
 import json
-import math
 import sys
 
 
@@ -40,30 +40,27 @@ def main(argv):
     if speedup < 10.0:
         raise SystemExit(f"hotpath cache speedup {speedup:.1f}x below the 10x acceptance bound")
 
+    for pt in shards.get("sweep", []):
+        if not pt.get("p99_within_bound"):
+            raise SystemExit(
+                f"islands point threads={pt.get('threads')}: median p99 "
+                f"{pt.get('p99_us')} us over the {shards.get('p99_bound_us')} us bound")
+
     single = shards.get("single_component")
-    if not single:
+    if not single or not single.get("sweep"):
         raise SystemExit("scale_shards fragment lacks the single_component sweep")
-    fed_speedup = single.get("speedup_fed_8_vs_1", 0.0)
-    if fed_speedup < 3.0:
-        raise SystemExit(
-            f"federated 8-vs-1 shard speedup {fed_speedup:.2f}x below the 3x acceptance bound")
-    gap_seen = False
-    for pt in single.get("sweep", []):
-        where = f"single_component point threads={pt.get('threads')} fed={pt.get('federated_requested')}"
+    for pt in single["sweep"]:
+        threads = pt.get("threads", 1)
+        where = f"single_component point threads={threads}"
         if pt.get("certified_grant_pct") != 100.0:
             raise SystemExit(f"{where}: uncertified grants")
-        if pt.get("federated_requested") and pt.get("threads", 1) > 1:
-            if pt.get("replicated") or not pt.get("federated"):
-                raise SystemExit(f"{where}: fell back to full replicas")
-            gap = pt.get("gap_max_rel")
-            if not isinstance(gap, (int, float)) or not math.isfinite(gap) or gap < 0.0:
-                raise SystemExit(f"{where}: no measured optimality gap recorded")
-            gap_seen = True
-    if not gap_seen:
-        raise SystemExit("single_component sweep recorded no federated optimality gap")
+        if threads > 1 and (not pt.get("replicated") or pt.get("shards") != threads):
+            raise SystemExit(
+                f"{where}: expected {threads} replicated shards, got "
+                f"shards={pt.get('shards')} replicated={pt.get('replicated')}")
 
     doc = {
-        "schema": "agora-bench-engine/4",
+        "schema": "agora-bench-engine/5",
         "scale_shards": shards,
         "scale_hotpath": hotpath,
     }

@@ -31,7 +31,6 @@ cmake -B build-asan -S . -DAGORA_SANITIZE=ON
 cmake --build build-asan -j --target rms_test rms_chaos_test rms_replica_test \
   rms_failover_test fuzz_test lp_certify_test lp_adversarial_test lp_sparse_test \
   lp_workspace_test alloc_property_test engine_cache_test history_independence_test support_model_test \
-  engine_federation_test credit_conservation_test federation_chaos_test \
   net_frame_test net_service_test net_soak_test proxysim_test latency_test
 ./build-asan/tests/rms_test
 ./build-asan/tests/rms_chaos_test
@@ -53,12 +52,6 @@ cmake --build build-asan -j --target rms_test rms_chaos_test rms_replica_test \
 # support). lp_sparse_test above carries the Bland stable-pivot guard on the
 # full 500-site ring model.
 ./build-asan/tests/support_model_test
-# Federation suites under ASan/UBSan: the credit ledger's settle/consume
-# arithmetic, the border-bank allocator rebuilds, and the chaos harness's
-# envelope lifetimes are the new lifetime-sensitive surface.
-./build-asan/tests/engine_federation_test
-./build-asan/tests/credit_conservation_test
-./build-asan/tests/federation_chaos_test
 # Wire boundary under ASan/UBSan: the frame-decoder fuzz corpus (bit flips,
 # truncations, version skew -- exactly where over-reads would hide), the
 # live loopback service suite (partial I/O, drain, malformed peers), and
@@ -85,21 +78,14 @@ cmake --build build-asan -j --target rms_test rms_chaos_test rms_replica_test \
 # TSan is for, and the hammer test drives them hard.
 cmake -B build-tsan -S . -DAGORA_TSAN=ON
 cmake --build build-tsan -j --target obs_test rms_chaos_test rms_failover_test \
-  engine_test engine_stress_test engine_cache_test engine_federation_test \
-  federation_chaos_test net_service_test history_independence_test support_model_test \
-  lp_sparse_test
+  engine_test engine_stress_test engine_cache_test net_service_test \
+  history_independence_test support_model_test lp_sparse_test
 ./build-tsan/tests/obs_test
 ./build-tsan/tests/rms_chaos_test
 ./build-tsan/tests/rms_failover_test
 ./build-tsan/tests/engine_test
 ./build-tsan/tests/engine_stress_test
 ./build-tsan/tests/engine_cache_test
-# Federated engine under TSan: worker threads consult against border banks
-# while mutators settle credits and swap shard allocators -- exactly the new
-# cross-thread handoff (ops carrying rebuilds/credit tables, gap rings
-# drained through acks) this pass is for.
-./build-tsan/tests/engine_federation_test
-./build-tsan/tests/federation_chaos_test
 # net_service_test joins the TSan pass: the poll-loop thread's connection
 # state races client threads, the engine's shard workers and (in the
 # overload test) the backend pump held behind a gate, through the admission
